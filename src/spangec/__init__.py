@@ -54,6 +54,7 @@ from .metrics import (
     efficiency_report,
     f_beta,
 )
+from .pipeline import correct_sentence, run_pipeline
 
 __version__ = "0.1.0"
 
@@ -77,6 +78,7 @@ __all__ = [
     "align",
     "annotate",
     "apply_spans",
+    "correct_sentence",
     "correction_metrics",
     "corrupt",
     "count_full_decode_steps",
@@ -95,6 +97,7 @@ __all__ = [
     "parse_annotation",
     "parse_correction",
     "render_correction",
+    "run_pipeline",
     "sample_spans",
     "tokenize",
     "train_corrector",

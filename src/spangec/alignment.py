@@ -145,7 +145,8 @@ def extract_edits(path: AlignmentPath) -> list[EditSpan]:
     spans: list[EditSpan] = []
     run: list[AlignOp] = []
 
-    def flush(run: list[AlignOp]) -> None:
+    def flush(run: list[AlignOp], point: int) -> None:
+        """point is the number of source tokens consumed before the run."""
         if not run:
             return
         src_indices = [op.src_index for op in run if op.src_index is not None]
@@ -157,10 +158,9 @@ def extract_edits(path: AlignmentPath) -> list[EditSpan]:
                 EditSpan(src_indices[0], src_indices[-1] + 1, tuple(tgt_tokens))
             )
             return
-        # Pure insertion: find the insertion point in the source.
+        # Pure insertion: anchor it to a source token beside the point.
         if not path.source:
             raise ValueError("cannot anchor an insertion in an empty source")
-        point = _insertion_point(path, run[0])
         if point > 0:
             anchor = point - 1
             if spans and spans[-1].src_end > anchor:
@@ -178,25 +178,17 @@ def extract_edits(path: AlignmentPath) -> list[EditSpan]:
             repl = tuple(tgt_tokens) + (path.source[0],)
             spans.append(EditSpan(0, 1, repl))
 
+    point = 0
     for op in path.ops:
         if op.kind == MATCH:
-            flush(run)
+            flush(run, point)
             run = []
         else:
             run.append(op)
-    flush(run)
+        if op.src_index is not None:
+            point = op.src_index + 1
+    flush(run, point)
     return spans
-
-
-def _insertion_point(path: AlignmentPath, op: AlignOp) -> int:
-    """Number of source tokens consumed before the given op."""
-    point = 0
-    for candidate in path.ops:
-        if candidate is op:
-            return point
-        if candidate.src_index is not None:
-            point = candidate.src_index + 1
-    raise ValueError("op does not belong to this path")
 
 
 def merge_edits(
@@ -207,8 +199,9 @@ def merge_edits(
     """Fuse consecutive spans separated by at most max_gap unedited tokens.
 
     The fused replacement re-inserts the skipped source tokens, so source is
-    required whenever the spans carry replacements. max_gap=0 is the identity
-    on the output of extract_edits.
+    required whenever the spans carry replacements. max_gap=0 still fuses
+    adjacent spans, where one ends at the next one's start; extract_edits can
+    emit such spans, e.g. [0,1) and [1,2) for a b c -> x b y c.
     """
     if max_gap < 0:
         raise ValueError("max_gap must be non-negative")

@@ -80,10 +80,7 @@ def annotate(source: Sequence[str], spans: Sequence[EditSpan]) -> AnnotatedSente
     """Insert open/close marker tokens around each span, K numbered from 1."""
     src = tuple(source)
     check_no_reserved(src)
-    try:
-        validate_spans(spans, len(src))
-    except OverlapError:
-        raise
+    validate_spans(spans, len(src))
     if len(spans) > MAX_SPANS:
         raise OverlapError(f"at most {MAX_SPANS} spans per sentence")
     rendered: list[str] = []

@@ -13,11 +13,10 @@ import contextlib
 import json
 import logging
 import os
-import random
 import sys
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
-from . import alignment, annotation, datagen, esc, esd, metrics
+from . import alignment, annotation, datagen, esc, esd, metrics, pipeline
 from .errors import DataError, ModelError, SpangecError
 
 log = logging.getLogger("spangec")
@@ -25,8 +24,6 @@ log = logging.getLogger("spangec")
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_MODEL = 3
-
-SWEEP_THRESHOLDS = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,6 +42,13 @@ def _open_out(path: Optional[str]):
     if path is None or path == "-":
         return contextlib.nullcontext(sys.stdout)
     return open(path, "w", encoding="utf-8")
+
+
+def _check_distinct(input_path: str, output_path: Optional[str]) -> None:
+    """Streaming into the file being read would truncate it before it is read."""
+    if input_path != "-" and output_path not in (None, "-") and os.path.exists(output_path):
+        if os.path.samefile(input_path, output_path):
+            raise DataError(f"output {output_path} is the input file; write elsewhere")
 
 
 def read_parallel_tsv(fh: TextIO) -> Iterator[tuple[int, alignment.TokenSeq, alignment.TokenSeq]]:
@@ -66,42 +70,27 @@ def read_parallel_tsv(fh: TextIO) -> Iterator[tuple[int, alignment.TokenSeq, ali
         yield lineno, source, target
 
 
-def _load_tagger(path: str) -> esd.EsdTagger:
+def _load_model(cls, path: str, what: str):
     try:
-        return esd.EsdTagger.load(path)
+        return cls.load(path)
     except FileNotFoundError as exc:
-        raise ModelError(f"detector model not found: {path}") from exc
-
-
-def _load_corrector(path: str) -> esc.PhraseTableCorrector:
-    try:
-        return esc.PhraseTableCorrector.load(path)
-    except FileNotFoundError as exc:
-        raise ModelError(f"corrector model not found: {path}") from exc
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise ModelError(f"corrupt corrector model: {path}: {exc}") from exc
+        raise ModelError(f"{what} model not found: {path}") from exc
 
 
 # ---------------------------------------------------------------- commands
 
 
 def cmd_extract(args) -> int:
+    _check_distinct(args.input, args.output)
     with _open_in(args.input) as fin, _open_out(args.output) as fout:
         for lineno, source, target in read_parallel_tsv(fin):
             try:
-                instance = datagen.make_esc_gold(source, target)
+                path = alignment.align(source, target)
+                spans = alignment.extract_edits(path)
+                # Gap 0 would still fuse adjacent spans, so merge only on request.
                 if args.merge_gap > 0:
-                    spans = alignment.merge_edits(
-                        [
-                            alignment.EditSpan(s.src_start, s.src_end, r)
-                            for (_, r), s in zip(
-                                instance.correction.segments, instance.annotated.spans
-                            )
-                        ],
-                        args.merge_gap,
-                        source=source,
-                    )
-                    instance = datagen.make_esc_from_spans(source, target, spans)
+                    spans = alignment.merge_edits(spans, args.merge_gap, source=source)
+                instance = datagen.make_esc_from_spans(source, target, spans, path)
             except (ValueError, SpangecError) as exc:
                 raise DataError(f"line {lineno}: {exc}") from exc
             fout.write(
@@ -116,25 +105,24 @@ def cmd_make_data(args) -> int:
         max_span_len=args.max_span_len,
         coverage_budget=args.coverage_budget,
     )
+    _check_distinct(args.input, args.esd_out)
+    _check_distinct(args.input, args.esc_out)
     with contextlib.ExitStack() as stack:
         fin = stack.enter_context(_open_in(args.input))
         esd_out = stack.enter_context(_open_out(args.esd_out))
         esc_out = stack.enter_context(_open_out(args.esc_out))
         for lineno, source, target in read_parallel_tsv(fin):
             try:
-                inst = datagen.make_esd_instance(source, target)
-                esd_out.write(
-                    json.dumps(
-                        {"tokens": list(inst.tokens), "tags": list(inst.tags)},
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+                # One alignment serves the detector and the corrector instance.
+                path = alignment.align(source, target)
+                inst = datagen.make_esd_instance(source, target, path)
+                record = {"tokens": list(inst.tokens), "tags": list(inst.tags)}
+                esd_out.write(json.dumps(record, ensure_ascii=False) + "\n")
                 rng = datagen.sentence_rng(args.seed, lineno)
                 if source and rng.random() < args.sampled_ratio:
-                    esc_inst = datagen.make_esc_sampled(source, target, cfg, rng)
+                    esc_inst = datagen.make_esc_sampled(source, target, cfg, rng, path)
                 else:
-                    esc_inst = datagen.make_esc_gold(source, target)
+                    esc_inst = datagen.make_esc_gold(source, target, path)
                 esc_out.write(
                     annotation.to_json_record(esc_inst.annotated, esc_inst.correction)
                     + "\n"
@@ -159,11 +147,10 @@ def cmd_corrupt(args) -> int:
         p_replace=args.p_replace,
         p_swap=args.p_swap,
         vocab=vocab,
-        seed=args.seed,
     )
     with _open_out(args.output) as fout:
         for index, sent in enumerate(sentences):
-            rng = datagen.sentence_rng(cfg.seed, index)
+            rng = datagen.sentence_rng(args.seed, index)
             noisy = datagen.corrupt(sent, cfg, rng)
             fout.write(
                 alignment.detokenize(noisy) + "\t" + alignment.detokenize(sent) + "\n"
@@ -224,55 +211,35 @@ def cmd_train_esc(args) -> int:
     return 0
 
 
-def run_pipeline(
-    sentences: Iterable[alignment.TokenSeq],
-    tagger: esd.EsdTagger,
-    corrector: esc.PhraseTableCorrector,
-    decode_cfg: esd.DecodeConfig,
-) -> tuple[list[alignment.TokenSeq], metrics.EfficiencyReport]:
-    """Detect, correct and merge for each sentence; error-free sentences pass
-    through untouched and contribute zero span decoding steps."""
-    outputs: list[alignment.TokenSeq] = []
-    records: list[tuple[int, int]] = []
-    for tokens in sentences:
-        probs = tagger.predict_probs(tokens)
-        spans = esd.decode_spans(probs, decode_cfg)
-        if not spans:
-            corrected = tokens
-            span_steps = 0
-        else:
-            annotated = annotation.annotate(tokens, spans)
-            result = corrector.correct(annotated)
-            corrected = annotation.merge_corrections(annotated, result.output)
-            span_steps = result.decode_steps
-        outputs.append(corrected)
-        records.append((span_steps, esc.count_full_decode_steps(corrected)))
-    return outputs, metrics.efficiency_report(records)
+def _read_sentences(fh: TextIO) -> Iterator[alignment.TokenSeq]:
+    """Yield the tokens of each line; a reserved marker is a data error."""
+    for lineno, line in enumerate(fh, start=1):
+        tokens = alignment.tokenize(line.rstrip("\n"))
+        try:
+            annotation.check_no_reserved(tokens)
+        except DataError as exc:
+            raise DataError(f"line {lineno}: {exc}") from exc
+        yield tokens
 
 
 def cmd_run(args) -> int:
-    tagger = _load_tagger(args.esd_model)
-    corrector = _load_corrector(args.esc_model)
+    tagger = _load_model(esd.EsdTagger, args.esd_model, "detector")
+    corrector = _load_model(esc.PhraseTableCorrector, args.esc_model, "corrector")
     decode_cfg = esd.DecodeConfig(threshold=args.threshold, merge_gap=args.merge_gap)
-    with _open_in(args.input) as fin:
-        sentences = []
-        for lineno, line in enumerate(fin, start=1):
-            tokens = alignment.tokenize(line.rstrip("\n"))
-            try:
-                annotation.check_no_reserved(tokens)
-            except DataError as exc:
-                raise DataError(f"line {lineno}: {exc}") from exc
-            sentences.append(tokens)
-    outputs, report = run_pipeline(sentences, tagger, corrector, decode_cfg)
-    with _open_out(args.output) as fout:
-        for tokens in outputs:
-            fout.write(alignment.detokenize(tokens) + "\n")
-    report_json = report.to_json()
+    _check_distinct(args.input, args.output)
+    with _open_in(args.input) as fin, _open_out(args.output) as fout:
+        _, report = pipeline.run_pipeline(
+            _read_sentences(fin),
+            tagger,
+            corrector,
+            decode_cfg,
+            write=lambda tokens: fout.write(alignment.detokenize(tokens) + "\n"),
+        )
     if args.report:
         with _open_out(args.report) as fh:
-            fh.write(report_json + "\n")
+            fh.write(report.to_json() + "\n")
     else:
-        print(report_json, file=sys.stderr)
+        print(report.to_json(), file=sys.stderr)
     return 0
 
 
@@ -301,29 +268,12 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def threshold_sweep(
-    tagger: esd.EsdTagger,
-    pairs: Sequence[tuple[alignment.TokenSeq, alignment.TokenSeq]],
-    thresholds: Sequence[float] = SWEEP_THRESHOLDS,
-) -> list[tuple[float, metrics.PRF]]:
-    """Token-level detection P/R/F0.5 at each probability threshold."""
-    gold_tags = [datagen.make_esd_instance(src, tgt).tags for src, tgt in pairs]
-    all_probs = [tagger.predict_probs(src) for src, _ in pairs]
-    rows = []
-    for threshold in thresholds:
-        pred_tags = [
-            [1 if p >= threshold else 0 for p in probs] for probs in all_probs
-        ]
-        rows.append((threshold, metrics.detection_metrics(pred_tags, gold_tags)))
-    return rows
-
-
 def cmd_sweep(args) -> int:
-    tagger = _load_tagger(args.esd_model)
+    tagger = _load_model(esd.EsdTagger, args.esd_model, "detector")
     thresholds = tuple(float(t) for t in args.thresholds.split(","))
     with _open_in(args.input) as fin:
         pairs = [(src, tgt) for _, src, tgt in read_parallel_tsv(fin)]
-    rows = threshold_sweep(tagger, pairs, thresholds)
+    rows = pipeline.threshold_sweep(tagger, pairs, thresholds)
     with _open_out(args.output) as fout:
         if args.format == "json":
             fout.write(

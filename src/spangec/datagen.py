@@ -76,7 +76,6 @@ class CorruptConfig:
     p_replace: float = 0.0
     p_swap: float = 0.0
     vocab: tuple[str, ...] = field(default_factory=tuple)
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("p_insert", "p_delete", "p_replace", "p_swap"):
@@ -94,11 +93,17 @@ def gold_spans(source: Sequence[str], target: Sequence[str]) -> list[EditSpan]:
     return extract_edits(align(source, target))
 
 
-def make_esd_instance(source: Sequence[str], target: Sequence[str]) -> EsdInstance:
+def make_esd_instance(
+    source: Sequence[str],
+    target: Sequence[str],
+    path: Optional[AlignmentPath] = None,
+) -> EsdInstance:
     """Tag source tokens: 1 inside any gold edit span, 0 elsewhere."""
     src = tuple(source)
+    if path is None:
+        path = align(src, tuple(target))
     tags = [0] * len(src)
-    for span in gold_spans(src, tuple(target)):
+    for span in extract_edits(path):
         for i in range(span.src_start, span.src_end):
             tags[i] = 1
     return EsdInstance(tokens=src, tags=tuple(tags))
@@ -144,9 +149,14 @@ def make_esc_from_spans(
     return EscInstance(annotated=annotated, correction=CorrectionOutput(segments))
 
 
-def make_esc_gold(source: Sequence[str], target: Sequence[str]) -> EscInstance:
+def make_esc_gold(
+    source: Sequence[str],
+    target: Sequence[str],
+    path: Optional[AlignmentPath] = None,
+) -> EscInstance:
     """Corrector instance over the gold edit spans."""
-    path = align(source, target)
+    if path is None:
+        path = align(source, target)
     return make_esc_from_spans(source, target, extract_edits(path), path=path)
 
 
@@ -190,9 +200,9 @@ def make_esc_sampled(
     target: Sequence[str],
     cfg: SpanSampleConfig,
     rng: random.Random,
+    path: Optional[AlignmentPath] = None,
 ) -> EscInstance:
     """Corrector instance over randomly sampled spans (robustness training)."""
-    path = align(source, target)
     spans = sample_spans(source, cfg, rng)
     return make_esc_from_spans(source, target, spans, path=path)
 

@@ -42,4 +42,5 @@ class ModelError(SpangecError):
 
 
 class ModelFormatError(ModelError):
-    """Model file has a bad magic number or unsupported version."""
+    """Model file is malformed: bad magic number, unsupported version,
+    truncated or out-of-range data, or a bad record."""

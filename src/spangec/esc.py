@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .alignment import TokenSeq, detokenize, tokenize
 from .annotation import AnnotatedSentence, CorrectionOutput
 from .datagen import EscInstance
-from .errors import EmptyCorpusError
+from .errors import EmptyCorpusError, ModelFormatError
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,8 @@ class PhraseTableCorrector:
         self._by_context: dict[tuple[Optional[str], TokenSeq], Counter] = {}
         self._by_span: dict[TokenSeq, Counter] = {}
 
-    def get_params(self) -> dict:
-        return {}
-
-    def fit(self, instances: Sequence[EscInstance]) -> "PhraseTableCorrector":
+    def fit(self, instances: Iterable[EscInstance]) -> "PhraseTableCorrector":
+        instances = list(instances)
         if not instances:
             raise EmptyCorpusError("no training instances")
         for inst in instances:
@@ -115,21 +113,26 @@ class PhraseTableCorrector:
     def load(cls, path: str) -> "PhraseTableCorrector":
         model = cls()
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                span_tokens = tokenize(record["span"])
-                repl = tokenize(record["repl"])
-                key = (record["ctx"], span_tokens)
-                count = int(record["count"])
-                model._by_context.setdefault(key, Counter())[repl] += count
-                model._by_span.setdefault(span_tokens, Counter())[repl] += count
+            try:
+                for line in fh:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    record = json.loads(line)
+                    span_tokens = tokenize(record["span"])
+                    repl = tokenize(record["repl"])
+                    key = (record["ctx"], span_tokens)
+                    count = int(record["count"])
+                    model._by_context.setdefault(key, Counter())[repl] += count
+                    model._by_span.setdefault(span_tokens, Counter())[repl] += count
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                # ValueError covers bad JSON, bad UTF-8 and a non-integer count;
+                # the others a record of the wrong shape or field types.
+                raise ModelFormatError(f"corrupt corrector model {path}: {exc}") from exc
         return model
 
 
-def train_corrector(instances: Sequence[EscInstance]) -> PhraseTableCorrector:
+def train_corrector(instances: Iterable[EscInstance]) -> PhraseTableCorrector:
     return PhraseTableCorrector().fit(instances)
 
 

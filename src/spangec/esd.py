@@ -17,12 +17,12 @@ import math
 import random
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 from zlib import crc32
 
 import numpy as np
 
-from .alignment import EditSpan
+from .alignment import EditSpan, merge_edits
 from .datagen import EsdInstance
 from .errors import EmptyCorpusError, ModelFormatError
 
@@ -165,12 +165,13 @@ class EsdTagger:
             if toks:
                 self._bigram_counts[_bigram_key(prev, _PAD)] += 1
 
-    def fit(self, instances: Sequence[EsdInstance]) -> "EsdTagger":
+    def fit(self, instances: Iterable[EsdInstance]) -> "EsdTagger":
+        instances = list(instances)
         if not instances:
             raise EmptyCorpusError("no training instances")
         n_cal = len(instances) // 10 if len(instances) >= 10 else 0
-        train = list(instances[: len(instances) - n_cal]) if n_cal else list(instances)
-        calib = list(instances[len(instances) - n_cal :]) if n_cal else list(instances)
+        train = instances[: len(instances) - n_cal] if n_cal else instances
+        calib = instances[len(instances) - n_cal :] if n_cal else instances
 
         self._unigram_counts = np.zeros(N_BUCKETS, dtype=np.uint32)
         self._bigram_counts = np.zeros(N_BUCKETS, dtype=np.uint32)
@@ -274,19 +275,25 @@ class EsdTagger:
                 raise ModelFormatError(f"unsupported bucket count {buckets}")
             model = cls(epochs=epochs, seed=seed)
             model.temperature = temperature
-            weights = np.zeros(N_BUCKETS, dtype=np.float64)
+            model.weights = np.zeros(N_BUCKETS, dtype=np.float64)
             rec_w = struct.Struct("<Id")
-            for _ in range(n_w):
-                idx, value = rec_w.unpack(fh.read(rec_w.size))
-                weights[idx] = value
             rec_c = struct.Struct("<II")
-            for _ in range(n_u):
-                idx, count = rec_c.unpack(fh.read(rec_c.size))
-                model._unigram_counts[idx] = count
-            for _ in range(n_b):
-                idx, count = rec_c.unpack(fh.read(rec_c.size))
-                model._bigram_counts[idx] = count
-            model.weights = weights
+            for rec, n, array in (
+                (rec_w, n_w, model.weights),
+                (rec_c, n_u, model._unigram_counts),
+                (rec_c, n_b, model._bigram_counts),
+            ):
+                size, unpack = rec.size, rec.unpack
+                for _ in range(n):
+                    record = fh.read(size)
+                    if len(record) != size:
+                        raise ModelFormatError("truncated model file")
+                    idx, value = unpack(record)
+                    if idx >= N_BUCKETS:
+                        raise ModelFormatError(f"bucket index {idx} out of range")
+                    array[idx] = value
+            if fh.read(1):
+                raise ModelFormatError("trailing bytes after the last model record")
         return model
 
 
@@ -298,7 +305,7 @@ def _sigmoid(x: float) -> float:
 
 
 def train_tagger(
-    instances: Sequence[EsdInstance], epochs: int = 5, seed: int = 0
+    instances: Iterable[EsdInstance], epochs: int = 5, seed: int = 0
 ) -> EsdTagger:
     return EsdTagger(epochs=epochs, seed=seed).fit(instances)
 
@@ -331,12 +338,6 @@ def decode_spans(probs: Sequence[float], cfg: DecodeConfig) -> list[EditSpan]:
             start = None
     if start is not None:
         spans.append(EditSpan(start, len(probs)))
-    if cfg.merge_gap > 0 and len(spans) > 1:
-        fused = [spans[0]]
-        for span in spans[1:]:
-            if span.src_start - fused[-1].src_end <= cfg.merge_gap:
-                fused[-1] = EditSpan(fused[-1].src_start, span.src_end)
-            else:
-                fused.append(span)
-        spans = fused
+    if cfg.merge_gap > 0:
+        spans = merge_edits(spans, cfg.merge_gap)
     return spans

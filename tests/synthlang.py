@@ -42,9 +42,7 @@ def gen_clean_corpus(n_sentences, vocab, successors, seed=0, min_len=6, max_len=
 def corrupt_corpus(clean, vocab, error_rate, seed=0):
     """Noisy/clean pairs with the per-token error rate split across the four ops."""
     p = error_rate / 4
-    cfg = CorruptConfig(
-        p_insert=p, p_delete=p, p_replace=p, p_swap=p, vocab=vocab, seed=seed
-    )
+    cfg = CorruptConfig(p_insert=p, p_delete=p, p_replace=p, p_swap=p, vocab=vocab)
     pairs = []
     for index, sent in enumerate(clean):
         noisy = corrupt(sent, cfg, sentence_rng(seed, index))

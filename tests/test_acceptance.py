@@ -24,11 +24,12 @@ import pytest
 import synthlang
 from spangec.alignment import align, detokenize, tokenize
 from spangec.annotation import annotate, merge_corrections
-from spangec.cli import main, run_pipeline
+from spangec.cli import main
 from spangec.datagen import gold_spans, make_esc_gold, make_esd_instance
 from spangec.esc import oracle_correct, train_corrector
 from spangec.esd import DecodeConfig, train_tagger
 from spangec.metrics import detection_metrics, f_beta
+from spangec.pipeline import run_pipeline
 
 
 def _report(number: int, name: str, ok: bool) -> None:

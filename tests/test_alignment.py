@@ -133,6 +133,15 @@ def test_merge_gap_zero_is_identity():
     assert merge_edits(spans, 0, source=("a",) * 5) == spans
 
 
+def test_merge_gap_zero_fuses_adjacent_spans():
+    src, tgt = tokenize("a b c"), tokenize("x b y c")
+    spans = extract_edits(align(src, tgt))
+    assert spans == [EditSpan(0, 1, ("x",)), EditSpan(1, 2, ("b", "y"))]
+    merged = merge_edits(spans, 0, source=src)
+    assert merged == [EditSpan(0, 2, ("x", "b", "y"))]
+    assert apply_spans(src, merged) == tgt
+
+
 def test_merge_empty():
     assert merge_edits([], 3) == []
 

@@ -1,10 +1,12 @@
 import json
+import struct
 
 import pytest
 
 import synthlang
 from spangec.alignment import detokenize, tokenize
 from spangec.cli import main
+from spangec.esd import N_BUCKETS
 
 
 def write_lines(path, lines):
@@ -235,6 +237,87 @@ def test_run_bad_model_format_exit_code(corpus, tmp_path):
             str(corpus / "esc.model"),
         ]
     ) == 3
+
+
+def run_one_line(tmp_path, esd_model, esc_model):
+    write_lines(tmp_path / "in.txt", ["a b"])
+    return main(
+        [
+            "run",
+            str(tmp_path / "in.txt"),
+            "--esd-model",
+            str(esd_model),
+            "--esc-model",
+            str(esc_model),
+        ]
+    )
+
+
+@pytest.mark.parametrize("damage", ["truncated", "index_out_of_range", "trailing_bytes"])
+def test_run_damaged_detector_model_exit_code(corpus, tmp_path, damage):
+    data = bytearray((corpus / "esd.model").read_bytes())
+    first_record = 4 + struct.calcsize("<IIIqdQQQ")  # magic, then the header
+    if damage == "truncated":
+        data = data[:200]
+    elif damage == "index_out_of_range":
+        data[first_record : first_record + 4] = struct.pack("<I", N_BUCKETS)
+    else:
+        data += b"\x00"
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(bytes(data))
+    assert run_one_line(tmp_path, bad, corpus / "esc.model") == 3
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"ctx": null, "span": "a", "repl": "b", "count": "x"}',
+        '{"ctx": null, "span": 5, "repl": "b", "count": 1}',
+        '["a", "b"]',
+    ],
+    ids=["count_not_integer", "span_not_string", "not_an_object"],
+)
+def test_run_bad_corrector_record_exit_code(corpus, tmp_path, record):
+    bad = tmp_path / "bad.esc"
+    write_lines(bad, [record])
+    assert run_one_line(tmp_path, corpus / "esd.model", bad) == 3
+
+
+def test_run_writes_lines_before_a_data_error(corpus, tmp_path):
+    lines = (corpus / "clean.txt").read_text().splitlines()[:2]
+    write_lines(tmp_path / "in.txt", lines + ["a <s1> b"])
+    assert main(
+        [
+            "run",
+            str(tmp_path / "in.txt"),
+            "--esd-model",
+            str(corpus / "esd.model"),
+            "--esc-model",
+            str(corpus / "esc.model"),
+            "-o",
+            str(tmp_path / "out.txt"),
+        ]
+    ) == 2
+    assert len((tmp_path / "out.txt").read_text().splitlines()) == 2
+
+
+def test_run_refuses_to_write_over_its_input(corpus, tmp_path):
+    lines = (corpus / "clean.txt").read_text().splitlines()[:3]
+    write_lines(tmp_path / "in.txt", lines)
+    before = (tmp_path / "in.txt").read_bytes()
+    assert main(
+        [
+            "run",
+            str(tmp_path / "in.txt"),
+            "--esd-model",
+            str(corpus / "esd.model"),
+            "--esc-model",
+            str(corpus / "esc.model"),
+            "-o",
+            str(tmp_path / "." / "in.txt"),
+        ]
+    ) == 2
+    assert (tmp_path / "in.txt").read_bytes() == before
 
 
 def test_run_high_threshold_passes_through(corpus, tmp_path):

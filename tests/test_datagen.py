@@ -192,7 +192,6 @@ def test_corrupt_golden_seed7():
         p_replace=0.1,
         p_swap=0.1,
         vocab=("alpha", "beta", "gamma"),
-        seed=7,
     )
     assert corrupt(sent, cfg, random.Random(7)) == (
         "quick", "the", "fox", "jumps", "gamma", "over", "gamma",
@@ -209,9 +208,9 @@ def test_corrupt_swap_skipped_at_last_position():
 def test_corrupt_deterministic_given_seed():
     sent = tuple(f"w{i}" for i in range(30))
     cfg = CorruptConfig(p_insert=0.05, p_delete=0.05, p_replace=0.1, p_swap=0.05,
-                        vocab=("x", "y"), seed=11)
-    a = corrupt(sent, cfg, sentence_rng(cfg.seed, 4))
-    b = corrupt(sent, cfg, sentence_rng(cfg.seed, 4))
+                        vocab=("x", "y"))
+    a = corrupt(sent, cfg, sentence_rng(11, 4))
+    b = corrupt(sent, cfg, sentence_rng(11, 4))
     assert a == b
 
 
@@ -223,7 +222,7 @@ def test_corrupt_deterministic_given_seed():
 def test_corrupt_pairs_align_and_reconstruct(sent, seed):
     sent = tuple(sent)
     cfg = CorruptConfig(p_insert=0.1, p_delete=0.1, p_replace=0.15, p_swap=0.1,
-                        vocab=("p", "q", "r"), seed=seed)
+                        vocab=("p", "q", "r"))
     noisy = corrupt(sent, cfg, random.Random(seed))
     if not noisy:
         return  # fully deleted; nothing to align against

@@ -59,6 +59,11 @@ def test_empty_corpus_rejected():
         train_corrector([])
 
 
+def test_empty_iterator_rejected():
+    with pytest.raises(EmptyCorpusError):
+        PhraseTableCorrector().fit(iter([]))
+
+
 def test_correct_table6_pattern_and_decode_steps():
     from spangec.datagen import make_esc_from_spans
 

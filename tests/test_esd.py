@@ -58,6 +58,21 @@ def test_empty_corpus_rejected():
         train_tagger([], epochs=1, seed=0)
 
 
+def test_empty_iterator_rejected():
+    with pytest.raises(EmptyCorpusError):
+        EsdTagger(epochs=1).fit(iter([]))
+
+
+def test_fit_on_generator_saves_same_bytes_as_on_list(tmp_path):
+    from_list = tmp_path / "list.bin"
+    from_generator = tmp_path / "generator.bin"
+    train_tagger(make_instances(), epochs=2, seed=3).save(str(from_list))
+    train_tagger((inst for inst in make_instances()), epochs=2, seed=3).save(
+        str(from_generator)
+    )
+    assert from_list.read_bytes() == from_generator.read_bytes()
+
+
 def test_predict_before_fit_rejected():
     with pytest.raises(ModelFormatError):
         EsdTagger().predict_probs(("a",))
