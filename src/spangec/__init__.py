@@ -15,6 +15,7 @@ from .alignment import (
     detokenize,
     extract_edits,
     merge_edits,
+    project_spans,
     tokenize,
     validate_spans,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "oracle_correct",
     "parse_annotation",
     "parse_correction",
+    "project_spans",
     "render_correction",
     "run_pipeline",
     "sample_spans",

@@ -7,6 +7,7 @@ preference so the returned path is canonical across runs and platforms.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -135,94 +136,82 @@ def align(source: Sequence[str], target: Sequence[str]) -> AlignmentPath:
     return AlignmentPath(source=src, target=tgt, ops=tuple(ops), cost=dist[n][m])
 
 
+def _owners(path: AlignmentPath) -> list[int]:
+    """The source token that owns each op: MATCH, SUBST and DELETE own their
+    src_index; an INSERT is owned by the token before the insertion point,
+    or by token 0 when it comes first."""
+    owners = []
+    owner = 0
+    for op in path.ops:
+        if op.src_index is not None:
+            owner = op.src_index
+        owners.append(owner)
+    return owners
+
+
+def _project(
+    path: AlignmentPath, owners: list[int], bounds: Iterable[Sequence[int]]
+) -> list[TokenSeq]:
+    """The target tokens, in path order, of the ops owned by each sorted,
+    disjoint [start, end) range; owners never decrease along the path."""
+    out = []
+    for start, end in bounds:
+        ops = path.ops[bisect_left(owners, start) : bisect_left(owners, end)]
+        out.append(tuple(path.target[op.tgt_index] for op in ops if op.tgt_index is not None))
+    return out
+
+
+def project_spans(path: AlignmentPath, spans: Sequence[EditSpan]) -> list[TokenSeq]:
+    """Target-side projection of each of the sorted, disjoint spans: the
+    target tokens, in path order, of the ops its source tokens own. A span
+    containing no edits therefore projects to itself."""
+    return _project(path, _owners(path), [(s.src_start, s.src_end) for s in spans])
+
+
 def extract_edits(path: AlignmentPath) -> list[EditSpan]:
     """Turn maximal runs of non-MATCH ops into edit spans.
 
-    A run that only inserts is anchored to the source token just before the
-    insertion point (or the following token when inserting at position 0),
-    so every span encloses at least one real source token.
+    A span covers the owners of its run's ops, so a run that only inserts is
+    anchored to the token before the insertion point (token 0 at the start)
+    and every span encloses at least one real source token. A run whose
+    owner is already covered, as in [b] -> [a, b, a], fuses with the span
+    before it. Replacements are the spans' projections.
     """
-    spans: list[EditSpan] = []
-    run: list[AlignOp] = []
-
-    def flush(run: list[AlignOp], point: int) -> None:
-        """point is the number of source tokens consumed before the run."""
-        if not run:
-            return
-        src_indices = [op.src_index for op in run if op.src_index is not None]
-        tgt_tokens = [
-            path.target[op.tgt_index] for op in run if op.tgt_index is not None
-        ]
-        if src_indices:
-            spans.append(
-                EditSpan(src_indices[0], src_indices[-1] + 1, tuple(tgt_tokens))
-            )
-            return
-        # Pure insertion: anchor it to a source token beside the point.
-        if not path.source:
-            raise ValueError("cannot anchor an insertion in an empty source")
-        if point > 0:
-            anchor = point - 1
-            if spans and spans[-1].src_end > anchor:
-                # The anchor token is already claimed: insertions sit on both
-                # sides of a single matched token (e.g. [b] -> [a, b, a]).
-                # Extend the previous span instead of emitting an overlap.
-                prev = spans[-1]
-                spans[-1] = EditSpan(
-                    prev.src_start, point, prev.replacement + tuple(tgt_tokens)
-                )
-                return
-            repl = (path.source[anchor],) + tuple(tgt_tokens)
-            spans.append(EditSpan(anchor, point, repl))
-        else:
-            repl = tuple(tgt_tokens) + (path.source[0],)
-            spans.append(EditSpan(0, 1, repl))
-
-    point = 0
-    for op in path.ops:
+    if not path.source and path.target:
+        raise ValueError("cannot anchor an insertion in an empty source")
+    owners = _owners(path)
+    bounds: list[list[int]] = []
+    in_run = False
+    for op, owner in zip(path.ops, owners):
         if op.kind == MATCH:
-            flush(run, point)
-            run = []
+            in_run = False
+            continue
+        if in_run or (bounds and bounds[-1][1] > owner):
+            bounds[-1][1] = owner + 1
         else:
-            run.append(op)
-        if op.src_index is not None:
-            point = op.src_index + 1
-    flush(run, point)
-    return spans
+            bounds.append([owner, owner + 1])
+        in_run = True
+    return [
+        EditSpan(start, end, repl)
+        for (start, end), repl in zip(bounds, _project(path, owners, bounds))
+    ]
 
 
-def merge_edits(
-    spans: Sequence[EditSpan],
-    max_gap: int,
-    source: Optional[Sequence[str]] = None,
-) -> list[EditSpan]:
-    """Fuse consecutive spans separated by at most max_gap unedited tokens.
-
-    The fused replacement re-inserts the skipped source tokens, so source is
-    required whenever the spans carry replacements. max_gap=0 still fuses
-    adjacent spans, where one ends at the next one's start; extract_edits can
-    emit such spans, e.g. [0,1) and [1,2) for a b c -> x b y c.
+def merge_edits(spans: Sequence[EditSpan], max_gap: int) -> list[EditSpan]:
+    """Fuse the bounds of consecutive spans separated by at most max_gap
+    unedited tokens. The result carries no replacements; project_spans
+    gives them. max_gap=0 still fuses adjacent spans, where one ends at the
+    next one's start; extract_edits can emit such spans, e.g. [0,1) and
+    [1,2) for a b c -> x b y c.
     """
     if max_gap < 0:
         raise ValueError("max_gap must be non-negative")
-    if not spans:
-        return []
-    merged = [spans[0]]
-    for span in spans[1:]:
-        prev = merged[-1]
-        if span.src_start - prev.src_end <= max_gap:
-            if prev.replacement is None and span.replacement is None:
-                repl: Optional[TokenSeq] = None
-            elif prev.replacement is not None and span.replacement is not None:
-                if source is None:
-                    raise ValueError("source required to merge spans with replacements")
-                gap = tuple(source[prev.src_end : span.src_start])
-                repl = prev.replacement + gap + span.replacement
-            else:
-                raise ValueError("cannot merge spans with and without replacements")
-            merged[-1] = EditSpan(prev.src_start, span.src_end, repl)
+    merged: list[EditSpan] = []
+    for span in spans:
+        if merged and span.src_start - merged[-1].src_end <= max_gap:
+            merged[-1] = EditSpan(merged[-1].src_start, span.src_end)
         else:
-            merged.append(span)
+            merged.append(EditSpan(span.src_start, span.src_end))
     return merged
 
 

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .alignment import EditSpan, TokenSeq, detokenize, tokenize, validate_spans
-from .errors import (
-    MalformedMarkersError,
-    MissingSpanError,
-    OverlapError,
-    ReservedTokenError,
-)
+from .errors import MalformedMarkersError, OverlapError, ReservedTokenError
 
 MAX_SPANS = 64
 
@@ -175,29 +170,15 @@ def render_correction(corr: CorrectionOutput) -> TokenSeq:
     return tuple(out)
 
 
-def merge_corrections(
-    annotated: AnnotatedSentence,
-    corr: CorrectionOutput,
-    missing: str = "copy",
-) -> TokenSeq:
-    """Substitute each span's tokens by its correction segment.
-
-    missing="copy" leaves a span without a segment unchanged (no-op
-    correction); missing="error" raises MissingSpanError instead.
-    """
-    if missing not in ("copy", "error"):
-        raise ValueError("missing policy must be 'copy' or 'error'")
+def merge_corrections(annotated: AnnotatedSentence, corr: CorrectionOutput) -> TokenSeq:
+    """Substitute each span's tokens by its correction segment; a span
+    without a segment stays unchanged (a no-op correction)."""
     by_number = dict(corr.segments)
     out: list[str] = []
     cursor = 0
     for k, span in enumerate(annotated.spans, start=1):
         out.extend(annotated.source[cursor : span.src_start])
-        if k in by_number:
-            out.extend(by_number[k])
-        elif missing == "copy":
-            out.extend(annotated.source[span.src_start : span.src_end])
-        else:
-            raise MissingSpanError(k)
+        out.extend(by_number.get(k, annotated.source[span.src_start : span.src_end]))
         cursor = span.src_end
     out.extend(annotated.source[cursor:])
     return tuple(out)

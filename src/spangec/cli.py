@@ -89,7 +89,7 @@ def cmd_extract(args) -> int:
                 spans = alignment.extract_edits(path)
                 # Gap 0 would still fuse adjacent spans, so merge only on request.
                 if args.merge_gap > 0:
-                    spans = alignment.merge_edits(spans, args.merge_gap, source=source)
+                    spans = alignment.merge_edits(spans, args.merge_gap)
                 instance = datagen.make_esc_from_spans(source, target, spans, path)
             except (ValueError, SpangecError) as exc:
                 raise DataError(f"line {lineno}: {exc}") from exc

@@ -18,14 +18,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .alignment import (
-    INSERT,
-    MATCH,
-    SUBST,
     AlignmentPath,
     EditSpan,
     TokenSeq,
     align,
     extract_edits,
+    project_spans,
 )
 from .annotation import AnnotatedSentence, CorrectionOutput, annotate
 
@@ -109,30 +107,6 @@ def make_esd_instance(
     return EsdInstance(tokens=src, tags=tuple(tags))
 
 
-def project_replacement(path: AlignmentPath, span: EditSpan) -> TokenSeq:
-    """Target-side projection of a source span under an alignment path.
-
-    Collects, in path order, the target tokens of MATCH/SUBST ops whose
-    source index falls in the span, plus INSERT ops whose insertion point
-    belongs to the span: an insert between tokens p-1 and p goes with the
-    span containing p-1 (insertions at position 0 go with a span starting
-    at 0). A span containing no edits therefore projects to itself.
-    """
-    out: list[str] = []
-    point = 0
-    for op in path.ops:
-        if op.kind == INSERT:
-            anchor = point - 1 if point > 0 else 0
-            if span.src_start <= anchor < span.src_end:
-                out.append(path.target[op.tgt_index])
-            continue
-        if op.src_index is not None:
-            point = op.src_index + 1
-        if op.kind in (MATCH, SUBST) and span.src_start <= op.src_index < span.src_end:
-            out.append(path.target[op.tgt_index])
-    return tuple(out)
-
-
 def make_esc_from_spans(
     source: Sequence[str],
     target: Sequence[str],
@@ -143,9 +117,7 @@ def make_esc_from_spans(
     if path is None:
         path = align(source, target)
     annotated = annotate(source, spans)
-    segments = tuple(
-        (k, project_replacement(path, span)) for k, span in enumerate(spans, start=1)
-    )
+    segments = tuple(enumerate(project_spans(path, spans), start=1))
     return EscInstance(annotated=annotated, correction=CorrectionOutput(segments))
 
 

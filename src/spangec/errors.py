@@ -21,14 +21,6 @@ class ReservedTokenError(DataError):
     """Input text contains a reserved span-marker token."""
 
 
-class MissingSpanError(SpangecError):
-    """A corrector output lacks a segment for an annotated span."""
-
-    def __init__(self, span_number: int):
-        super().__init__(f"no correction segment for span {span_number}")
-        self.span_number = span_number
-
-
 class EmptyCorpusError(DataError):
     """Training was attempted on an empty corpus."""
 

@@ -14,6 +14,7 @@ get_params) is the seam where a stronger model plugs in.
 from __future__ import annotations
 
 import math
+import os
 import random
 import struct
 from dataclasses import dataclass
@@ -32,6 +33,13 @@ _BUCKET_MASK = N_BUCKETS - 1
 _MIX = 0x9E3779B97F4A7C15
 TEMPLATE_VERSION = 1
 _MAGIC = b"ESD1"
+# Header after the magic: template version, bucket count, epochs, seed,
+# temperature and the record count of each section.
+_HEADER = struct.Struct("<IIIqdQQQ")
+# Sparse section records, (bucket, value): weights, then unigram and bigram counts.
+_WEIGHT_RECORD = np.dtype([("idx", "<u4"), ("value", "<f8")])
+_COUNT_RECORD = np.dtype([("idx", "<u4"), ("value", "<u4")])
+_SECTIONS = (_WEIGHT_RECORD, _COUNT_RECORD, _COUNT_RECORD)
 _TEMPERATURE_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 _PAD = "<pad>"
 _SEP = "\x1f"
@@ -226,72 +234,62 @@ class EsdTagger:
         """Per-token error probabilities in [0, 1]."""
         return [_sigmoid(m / self.temperature) for m in self.decision_margins(tokens)]
 
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.weights, self._unigram_counts, self._bigram_counts
+
     def save(self, path: str) -> None:
         """Versioned binary format: magic, template version, bucket count,
         training metadata, temperature, then three sparse little-endian
         sections (weights, unigram counts, bigram counts)."""
         if self.weights is None:
             raise ModelFormatError("tagger is not trained")
-        w_idx = np.nonzero(self.weights)[0]
-        u_idx = np.nonzero(self._unigram_counts)[0]
-        b_idx = np.nonzero(self._bigram_counts)[0]
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(
-                struct.pack(
-                    "<IIIqdQQQ",
+                _HEADER.pack(
                     TEMPLATE_VERSION,
                     N_BUCKETS,
                     self.epochs,
                     self.seed,
                     self.temperature,
-                    len(w_idx),
-                    len(u_idx),
-                    len(b_idx),
+                    *(np.count_nonzero(array) for array in self._arrays()),
                 )
             )
-            for idx in w_idx:
-                fh.write(struct.pack("<Id", int(idx), float(self.weights[idx])))
-            for idx in u_idx:
-                fh.write(struct.pack("<II", int(idx), int(self._unigram_counts[idx])))
-            for idx in b_idx:
-                fh.write(struct.pack("<II", int(idx), int(self._bigram_counts[idx])))
+            for dtype, array in zip(_SECTIONS, self._arrays()):
+                idx = np.flatnonzero(array)
+                records = np.empty(len(idx), dtype=dtype)
+                records["idx"] = idx
+                records["value"] = array[idx]
+                fh.write(records)
 
     @classmethod
     def load(cls, path: str) -> "EsdTagger":
         with open(path, "rb") as fh:
-            magic = fh.read(4)
+            size = os.fstat(fh.fileno()).st_size
+            magic = fh.read(len(_MAGIC))
             if magic != _MAGIC:
                 raise ModelFormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-            header = fh.read(struct.calcsize("<IIIqdQQQ"))
-            if len(header) != struct.calcsize("<IIIqdQQQ"):
+            header = fh.read(_HEADER.size)
+            if len(header) != _HEADER.size:
                 raise ModelFormatError("truncated model header")
-            version, buckets, epochs, seed, temperature, n_w, n_u, n_b = struct.unpack(
-                "<IIIqdQQQ", header
-            )
+            version, buckets, epochs, seed, temperature, *counts = _HEADER.unpack(header)
             if version != TEMPLATE_VERSION:
                 raise ModelFormatError(f"unsupported template version {version}")
             if buckets != N_BUCKETS:
                 raise ModelFormatError(f"unsupported bucket count {buckets}")
+            if not 0 < temperature < math.inf:
+                raise ModelFormatError(f"temperature {temperature} is not finite and positive")
             model = cls(epochs=epochs, seed=seed)
             model.temperature = temperature
             model.weights = np.zeros(N_BUCKETS, dtype=np.float64)
-            rec_w = struct.Struct("<Id")
-            rec_c = struct.Struct("<II")
-            for rec, n, array in (
-                (rec_w, n_w, model.weights),
-                (rec_c, n_u, model._unigram_counts),
-                (rec_c, n_b, model._bigram_counts),
-            ):
-                size, unpack = rec.size, rec.unpack
-                for _ in range(n):
-                    record = fh.read(size)
-                    if len(record) != size:
-                        raise ModelFormatError("truncated model file")
-                    idx, value = unpack(record)
-                    if idx >= N_BUCKETS:
-                        raise ModelFormatError(f"bucket index {idx} out of range")
-                    array[idx] = value
+            for dtype, n, array in zip(_SECTIONS, counts, model._arrays()):
+                # Compare sizes as Python ints: a huge count must not reach numpy.
+                if n * dtype.itemsize > size - fh.tell():
+                    raise ModelFormatError("truncated model file")
+                records = np.frombuffer(fh.read(n * dtype.itemsize), dtype=dtype)
+                if n and records["idx"].max() >= N_BUCKETS:
+                    raise ModelFormatError(f"bucket index {records['idx'].max()} out of range")
+                array[records["idx"]] = records["value"]
             if fh.read(1):
                 raise ModelFormatError("trailing bytes after the last model record")
         return model

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .alignment import align, extract_edits
 from .errors import LengthMismatchError
@@ -70,23 +70,13 @@ class PRF:
         )
 
 
-def _as_sentence_list(seqs):
-    if seqs and isinstance(seqs[0], (int, bool)):
-        return [seqs]
-    return list(seqs)
-
-
 def detection_metrics(pred_tags, gold_tags) -> PRF:
-    """Token-level micro P/R/F0.5 over a corpus of 0/1 tag sequences.
-
-    Accepts either a single sentence (flat tag lists) or per-sentence lists.
-    """
-    pred_sents = _as_sentence_list(pred_tags)
-    gold_sents = _as_sentence_list(gold_tags)
-    if len(pred_sents) != len(gold_sents):
+    """Token-level micro P/R/F0.5 over a corpus: one 0/1 tag sequence per
+    sentence on each side."""
+    if len(pred_tags) != len(gold_tags):
         raise LengthMismatchError("corpora have different sentence counts")
     tp = fp = fn = 0
-    for pred, gold in zip(pred_sents, gold_sents):
+    for pred, gold in zip(pred_tags, gold_tags):
         if len(pred) != len(gold):
             raise LengthMismatchError("tag sequences have different lengths")
         for p, g in zip(pred, gold):
@@ -108,10 +98,8 @@ def _edit_set(source, other):
 
 def correction_metrics(sources, hypotheses, gold_targets) -> PRF:
     """Edit-level micro P/R/F0.5: a hypothesis edit is correct iff a gold
-    edit has the same source range and replacement. Accepts one sentence
-    (token sequences) or parallel corpora of token sequences."""
-    if sources and isinstance(sources[0], str):
-        sources, hypotheses, gold_targets = [sources], [hypotheses], [gold_targets]
+    edit has the same source range and replacement, over parallel corpora
+    of token sequences."""
     if not (len(sources) == len(hypotheses) == len(gold_targets)):
         raise LengthMismatchError("corpora have different sentence counts")
     tp = fp = fn = 0

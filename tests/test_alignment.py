@@ -10,11 +10,15 @@ from spangec.alignment import (
     INSERT,
     MATCH,
     SUBST,
+    AlignmentPath,
+    AlignOp,
     EditSpan,
+    TokenSeq,
     align,
     apply_spans,
     extract_edits,
     merge_edits,
+    project_spans,
     tokenize,
     validate_spans,
 )
@@ -109,37 +113,57 @@ def test_extract_empty_source_rejected():
         extract_edits(align([], ["a"]))
 
 
+def merge_and_project(path, gap):
+    """Fuse the gold spans' bounds, then project each fused span."""
+    merged = merge_edits(extract_edits(path), gap)
+    return [
+        EditSpan(span.src_start, span.src_end, repl)
+        for span, repl in zip(merged, project_spans(path, merged))
+    ]
+
+
 def test_hotel_example_reconstructs():
     # "is to my hotel ." edited into "my hotel is ."
     src = tokenize("is to my hotel .")
     tgt = tokenize("my hotel is .")
-    spans = extract_edits(align(src, tgt))
+    path = align(src, tgt)
+    spans = extract_edits(path)
     assert apply_spans(src, spans) == tgt
-    merged = merge_edits(spans, 1, source=src)
+    merged = merge_and_project(path, 1)
     assert len(merged) == 1
     assert apply_spans(src, merged) == tgt
 
 
 def test_merge_gap_one_copies_intervening_token():
     src = ("t0", "t1", "t2", "t3", "t4")
-    spans = [EditSpan(1, 2, ("x",)), EditSpan(3, 4, ("y",))]
-    merged = merge_edits(spans, 1, source=src)
+    path = align(src, ("t0", "x", "t2", "y", "t4"))
+    spans = extract_edits(path)
+    assert spans == [EditSpan(1, 2, ("x",)), EditSpan(3, 4, ("y",))]
+    merged = merge_and_project(path, 1)
     assert merged == [EditSpan(1, 4, ("x", "t2", "y"))]
     assert apply_spans(src, merged) == apply_spans(src, spans)
 
 
 def test_merge_gap_zero_is_identity():
+    path = align(("a",) * 5, ("a", "x", "a", "y", "a"))
     spans = [EditSpan(1, 2, ("x",)), EditSpan(3, 4, ("y",))]
-    assert merge_edits(spans, 0, source=("a",) * 5) == spans
+    assert extract_edits(path) == spans
+    assert merge_and_project(path, 0) == spans
 
 
 def test_merge_gap_zero_fuses_adjacent_spans():
     src, tgt = tokenize("a b c"), tokenize("x b y c")
-    spans = extract_edits(align(src, tgt))
+    path = align(src, tgt)
+    spans = extract_edits(path)
     assert spans == [EditSpan(0, 1, ("x",)), EditSpan(1, 2, ("b", "y"))]
-    merged = merge_edits(spans, 0, source=src)
+    merged = merge_and_project(path, 0)
     assert merged == [EditSpan(0, 2, ("x", "b", "y"))]
     assert apply_spans(src, merged) == tgt
+
+
+def test_merge_fuses_bounds_only():
+    spans = [EditSpan(0, 1, ("x",)), EditSpan(2, 3, ("y",)), EditSpan(6, 7)]
+    assert merge_edits(spans, 1) == [EditSpan(0, 3), EditSpan(6, 7)]
 
 
 def test_merge_empty():
@@ -175,8 +199,7 @@ def test_extract_edits_reconstruct(src, tgt):
        st.integers(min_value=0, max_value=4))
 @settings(max_examples=200)
 def test_merge_edits_preserves_reconstruction(src, tgt, gap):
-    spans = extract_edits(align(src, tgt))
-    merged = merge_edits(spans, gap, source=src)
+    merged = merge_and_project(align(src, tgt), gap)
     validate_spans(merged, len(src))
     assert apply_spans(src, merged) == tuple(tgt)
 
@@ -187,3 +210,101 @@ def test_align_deterministic():
         src = [rng.choice(ALPHABET) for _ in range(rng.randint(0, 8))]
         tgt = [rng.choice(ALPHABET) for _ in range(rng.randint(0, 8))]
         assert align(src, tgt) == align(src, tgt)
+
+
+# The span rules as first written, one walk over the ops per projected span,
+# kept as oracles for extract_edits and project_spans.
+def reference_extract_edits(path: AlignmentPath) -> list[EditSpan]:
+    """Turn maximal runs of non-MATCH ops into edit spans.
+
+    A run that only inserts is anchored to the source token just before the
+    insertion point (or the following token when inserting at position 0),
+    so every span encloses at least one real source token.
+    """
+    spans: list[EditSpan] = []
+    run: list[AlignOp] = []
+
+    def flush(run: list[AlignOp], point: int) -> None:
+        """point is the number of source tokens consumed before the run."""
+        if not run:
+            return
+        src_indices = [op.src_index for op in run if op.src_index is not None]
+        tgt_tokens = [
+            path.target[op.tgt_index] for op in run if op.tgt_index is not None
+        ]
+        if src_indices:
+            spans.append(
+                EditSpan(src_indices[0], src_indices[-1] + 1, tuple(tgt_tokens))
+            )
+            return
+        # Pure insertion: anchor it to a source token beside the point.
+        if not path.source:
+            raise ValueError("cannot anchor an insertion in an empty source")
+        if point > 0:
+            anchor = point - 1
+            if spans and spans[-1].src_end > anchor:
+                # The anchor token is already claimed: insertions sit on both
+                # sides of a single matched token (e.g. [b] -> [a, b, a]).
+                # Extend the previous span instead of emitting an overlap.
+                prev = spans[-1]
+                spans[-1] = EditSpan(
+                    prev.src_start, point, prev.replacement + tuple(tgt_tokens)
+                )
+                return
+            repl = (path.source[anchor],) + tuple(tgt_tokens)
+            spans.append(EditSpan(anchor, point, repl))
+        else:
+            repl = tuple(tgt_tokens) + (path.source[0],)
+            spans.append(EditSpan(0, 1, repl))
+
+    point = 0
+    for op in path.ops:
+        if op.kind == MATCH:
+            flush(run, point)
+            run = []
+        else:
+            run.append(op)
+        if op.src_index is not None:
+            point = op.src_index + 1
+    flush(run, point)
+    return spans
+
+
+def reference_project_replacement(path: AlignmentPath, span: EditSpan) -> TokenSeq:
+    """Target-side projection of a source span under an alignment path.
+
+    Collects, in path order, the target tokens of MATCH/SUBST ops whose
+    source index falls in the span, plus INSERT ops whose insertion point
+    belongs to the span: an insert between tokens p-1 and p goes with the
+    span containing p-1 (insertions at position 0 go with a span starting
+    at 0). A span containing no edits therefore projects to itself.
+    """
+    out: list[str] = []
+    point = 0
+    for op in path.ops:
+        if op.kind == INSERT:
+            anchor = point - 1 if point > 0 else 0
+            if span.src_start <= anchor < span.src_end:
+                out.append(path.target[op.tgt_index])
+            continue
+        if op.src_index is not None:
+            point = op.src_index + 1
+        if op.kind in (MATCH, SUBST) and span.src_start <= op.src_index < span.src_end:
+            out.append(path.target[op.tgt_index])
+    return tuple(out)
+
+
+@given(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=10),
+       st.lists(st.sampled_from(ALPHABET), min_size=0, max_size=10),
+       st.data())
+@settings(max_examples=500)
+def test_extract_and_project_match_reference(src, tgt, data):
+    path = align(src, tgt)
+    spans = extract_edits(path)
+    assert spans == reference_extract_edits(path)
+    # Any sorted, disjoint spans, e.g. sampled ones, project as before.
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(src)), max_size=6)))
+    sampled = [EditSpan(a, b) for a, b in zip(cuts[::2], cuts[1::2]) if a < b]
+    for some in (spans, sampled):
+        expected = [reference_project_replacement(path, span) for span in some]
+        assert project_spans(path, some) == expected

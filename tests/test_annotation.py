@@ -14,12 +14,7 @@ from spangec.annotation import (
     render_correction,
     to_json_record,
 )
-from spangec.errors import (
-    MalformedMarkersError,
-    MissingSpanError,
-    OverlapError,
-    ReservedTokenError,
-)
+from spangec.errors import MalformedMarkersError, OverlapError, ReservedTokenError
 
 LAW_SOURCE = tokenize("The law 's spirit also include the fairness .")
 LAW_SPAN = EditSpan(4, 9, tokenize("also includes fairness ."))
@@ -145,12 +140,6 @@ def test_merge_corrections_missing_span_copies_by_default():
     ann = annotate(("a", "b", "c"), [EditSpan(0, 1), EditSpan(2, 3)])
     corr = CorrectionOutput(((2, ("x",)),))
     assert merge_corrections(ann, corr) == ("a", "b", "x")
-
-
-def test_merge_corrections_missing_span_error_policy():
-    ann = annotate(("a", "b"), [EditSpan(0, 1)])
-    with pytest.raises(MissingSpanError):
-        merge_corrections(ann, CorrectionOutput(()), missing="error")
 
 
 def test_json_record_round_trip():

@@ -1,12 +1,17 @@
 import json
+import math
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synthlang
 from spangec.alignment import detokenize, tokenize
 from spangec.cli import main
-from spangec.esd import N_BUCKETS
+from spangec.datagen import EsdInstance, make_esc_gold
+from spangec.esc import train_corrector
+from spangec.esd import N_BUCKETS, train_tagger
 
 
 def write_lines(path, lines):
@@ -281,6 +286,88 @@ def test_run_bad_corrector_record_exit_code(corpus, tmp_path, record):
     bad = tmp_path / "bad.esc"
     write_lines(bad, [record])
     assert run_one_line(tmp_path, corpus / "esd.model", bad) == 3
+
+
+@pytest.fixture(scope="module")
+def small_models(tmp_path_factory):
+    """A detector and a corrector of a few hundred bytes each, and an input
+    whose second line they flag and correct."""
+    root = tmp_path_factory.mktemp("small")
+    tagger = train_tagger(
+        [EsdInstance(("a", "b", "c"), (0, 1, 0)), EsdInstance(("b", "a"), (1, 0))],
+        epochs=2,
+    )
+    tagger.save(str(root / "esd"))
+    train_corrector([make_esc_gold(("a", "b"), ("a", "c"))]).save(str(root / "esc"))
+    write_lines(root / "in.txt", ["a c", "a b"])
+    assert run_damaged(root, "esd", (root / "esd").read_bytes()) == 0
+    return root
+
+
+def run_damaged(root, which, data):
+    """Run with the named model ("esd" or "esc") replaced by data."""
+    models = {"esd": root / "esd", "esc": root / "esc"}
+    models[which] = root / f"damaged.{which}"
+    models[which].write_bytes(data)
+    return main(
+        [
+            "run",
+            str(root / "in.txt"),
+            "--esd-model",
+            str(models["esd"]),
+            "--esc-model",
+            str(models["esc"]),
+            "-o",
+            str(root / "out.txt"),
+            "--report",
+            str(root / "report.json"),
+        ]
+    )
+
+
+_TEMPERATURE_AT = 4 + struct.calcsize("<IIIq")  # magic, then the header fields
+_COUNTS_AT = 4 + struct.calcsize("<IIIqd")
+
+
+@given(
+    st.sampled_from(["esd", "esc"]),
+    st.sampled_from(["truncate", "flip"]),
+    st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_run_on_truncated_or_bit_flipped_model_exits_0_or_3(small_models, which, how, at):
+    data = bytearray((small_models / which).read_bytes())
+    if how == "truncate":
+        data = data[: at % len(data)]
+    else:
+        data[at % len(data)] ^= 1 << (at // len(data) % 8)
+    assert run_damaged(small_models, which, bytes(data)) in (0, 3)
+
+
+@given(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=50, deadline=None)
+def test_run_on_detector_with_any_section_count_exits_0_or_3(small_models, section, count):
+    data = bytearray((small_models / "esd").read_bytes())
+    at = _COUNTS_AT + 8 * section
+    data[at : at + 8] = struct.pack("<Q", count)
+    assert run_damaged(small_models, "esd", bytes(data)) in (0, 3)
+
+
+@pytest.mark.parametrize(
+    "at, value",
+    [
+        (_TEMPERATURE_AT, struct.pack("<d", 0.0)),
+        (_TEMPERATURE_AT, struct.pack("<d", -1.0)),
+        (_TEMPERATURE_AT, struct.pack("<d", math.nan)),
+        (_TEMPERATURE_AT, struct.pack("<d", math.inf)),
+        (_COUNTS_AT, struct.pack("<Q", 2**62)),
+    ],
+    ids=["temperature_0", "temperature_-1", "temperature_nan", "temperature_inf", "count_2^62"],
+)
+def test_run_on_bad_detector_header_exits_3(small_models, at, value):
+    data = bytearray((small_models / "esd").read_bytes())
+    data[at : at + len(value)] = value
+    assert run_damaged(small_models, "esd", bytes(data)) == 3
 
 
 def test_run_writes_lines_before_a_data_error(corpus, tmp_path):

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spangec.alignment import EditSpan, align, apply_spans, extract_edits, tokenize
+from spangec.alignment import (
+    EditSpan,
+    align,
+    apply_spans,
+    extract_edits,
+    project_spans,
+    tokenize,
+)
 from spangec.annotation import merge_corrections
 from spangec.datagen import (
     CorruptConfig,
@@ -14,7 +21,6 @@ from spangec.datagen import (
     make_esc_gold,
     make_esc_sampled,
     make_esd_instance,
-    project_replacement,
     sample_spans,
     sentence_rng,
 )
@@ -118,15 +124,15 @@ def test_projection_copy_for_unedited_span():
     src = tokenize("a b c d e")
     tgt = tokenize("a b c d x")  # only the last token edited
     path = align(src, tgt)
-    assert project_replacement(path, EditSpan(1, 3)) == ("b", "c")
+    assert project_spans(path, [EditSpan(1, 3)]) == [("b", "c")]
 
 
 def test_projection_of_gold_span_equals_gold_replacement():
     src = tokenize("is to my hotel .")
     tgt = tokenize("my hotel is .")
     path = align(src, tgt)
-    for span in extract_edits(path):
-        assert project_replacement(path, span) == span.replacement
+    spans = extract_edits(path)
+    assert project_spans(path, spans) == [span.replacement for span in spans]
 
 
 def test_sampled_with_gold_spans_reproduces_gold():

@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,7 +52,7 @@ def test_f_beta_rejects_bad_beta():
 
 
 def test_detection_metrics_hand_count():
-    prf = detection_metrics([0, 1, 0, 0], [0, 1, 1, 0])
+    prf = detection_metrics([[0, 1, 0, 0]], [[0, 1, 1, 0]])
     assert (prf.tp, prf.fp, prf.fn) == (1, 0, 1)
     assert prf.precision == 1.0
     assert prf.recall == 0.5
@@ -60,14 +61,14 @@ def test_detection_metrics_hand_count():
 
 
 def test_detection_metrics_perfect_and_empty():
-    prf = detection_metrics([1, 0, 1], [1, 0, 1])
+    prf = detection_metrics([[1, 0, 1]], [[1, 0, 1]])
     assert prf.precision == prf.recall == 1.0
-    prf = detection_metrics([0, 0], [0, 0])
+    prf = detection_metrics([[0, 0]], [[0, 0]])
     assert prf.precision == prf.recall == prf.f_half == 0.0
 
 
 def test_detection_metrics_all_missed():
-    prf = detection_metrics([0, 0, 0], [1, 1, 0])
+    prf = detection_metrics([[0, 0, 0]], [[1, 1, 0]])
     assert prf.recall == 0.0 and prf.f_half == 0.0
 
 
@@ -78,7 +79,14 @@ def test_detection_metrics_corpus_micro():
 
 def test_detection_metrics_length_mismatch():
     with pytest.raises(LengthMismatchError):
-        detection_metrics([0, 1], [0, 1, 1])
+        detection_metrics([[0, 1]], [[0, 1, 1]])
+
+
+def test_detection_metrics_numpy_corpus():
+    pred = np.array([[1, 0], [0, 1]])
+    gold = [np.array([1, 0], dtype=np.int64), np.array([1, 1], dtype=np.int64)]
+    prf = detection_metrics(pred, gold)
+    assert (prf.tp, prf.fp, prf.fn) == (2, 0, 1)
 
 
 def test_detection_permutation_invariant():
@@ -95,14 +103,14 @@ def test_detection_permutation_invariant():
 def test_correction_metrics_exact_hypothesis():
     src = tokenize("she go home")
     gold = tokenize("she went home")
-    prf = correction_metrics(src, gold, gold)
+    prf = correction_metrics([src], [gold], [gold])
     assert prf.precision == 1.0 and prf.recall == 1.0
 
 
 def test_correction_metrics_no_correction_attempted():
     src = tokenize("a b c")
     gold = tokenize("a x y")
-    prf = correction_metrics(src, src, gold)
+    prf = correction_metrics([src], [src], [gold])
     assert prf.tp == 0 and prf.precision == 0.0 and prf.recall == 0.0
     assert prf.fn >= 1
 
@@ -111,7 +119,7 @@ def test_correction_metrics_half_applied():
     src = tokenize("t0 a t2 b t4")
     gold = tokenize("t0 x t2 y t4")
     hyp = tokenize("t0 x t2 b t4")  # only the first of two edits applied
-    prf = correction_metrics(src, hyp, gold)
+    prf = correction_metrics([src], [hyp], [gold])
     assert prf.precision == 1.0
     assert prf.recall == 0.5
     assert math.isclose(prf.f_half, 0.833333333, rel_tol=1e-6)
@@ -147,7 +155,7 @@ def brute_force_edit_prf(src, hyp, gold):
 @settings(max_examples=150)
 def test_correction_metrics_agree_with_brute_force(src, hyp, gold):
     src, hyp, gold = tuple(src), tuple(hyp), tuple(gold)
-    prf = correction_metrics(src, hyp, gold)
+    prf = correction_metrics([src], [hyp], [gold])
     assert (prf.tp, prf.fp, prf.fn) == brute_force_edit_prf(src, hyp, gold)
 
 

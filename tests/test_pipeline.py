@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spangec.esc import PhraseTableCorrector
 from spangec.esd import DecodeConfig
@@ -38,3 +40,28 @@ def test_streamed_outputs_equal_collected_outputs():
     assert streamed == collected == sentences
     assert rest == []
     assert streamed_report == report
+
+
+class FixedTagger:
+    """Returns the same probabilities whatever the tokens."""
+
+    def __init__(self, probs):
+        self.probs = probs
+
+    def predict_probs(self, tokens):
+        return self.probs
+
+
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=300),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_any_probabilities_pass_through_an_empty_phrase_table(probs, threshold, gap):
+    tokens = tuple(f"t{i}" for i in range(len(probs)))
+    corrected, _ = correct_sentence(
+        tokens, FixedTagger(probs), PhraseTableCorrector(), DecodeConfig(threshold, gap)
+    )
+    assert corrected == tokens
+
