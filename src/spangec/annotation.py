@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .alignment import EditSpan, TokenSeq, detokenize, tokenize, validate_spans
-from .errors import MalformedMarkersError, OverlapError, ReservedTokenError
+from .errors import DataError, MalformedMarkersError, OverlapError, ReservedTokenError
 
 MAX_SPANS = 64
 
@@ -184,25 +184,19 @@ def merge_corrections(annotated: AnnotatedSentence, corr: CorrectionOutput) -> T
     return tuple(out)
 
 
-def to_json_record(
-    annotated: AnnotatedSentence, correction: Optional[CorrectionOutput] = None
-) -> str:
-    """One JSONL record: {"source", "rendered", "spans", "correction"}."""
+def to_json_record(annotated: AnnotatedSentence, correction: CorrectionOutput) -> str:
+    """One corrector training record: {"rendered", "correction"}."""
     record = {
-        "source": detokenize(annotated.source),
         "rendered": detokenize(annotated.rendered),
-        "spans": [[s.src_start, s.src_end] for s in annotated.spans],
-        "correction": (
-            detokenize(render_correction(correction)) if correction is not None else None
-        ),
+        "correction": detokenize(render_correction(correction)),
     }
     return json.dumps(record, ensure_ascii=False)
 
 
-def from_json_record(line: str) -> tuple[AnnotatedSentence, Optional[CorrectionOutput]]:
+def from_json_record(line: str) -> tuple[AnnotatedSentence, CorrectionOutput]:
+    """Inverse of to_json_record; both fields must be strings."""
     record = json.loads(line)
-    annotated = parse_annotation(tokenize(record["rendered"]))
-    correction = None
-    if record.get("correction") is not None:
-        correction = parse_correction(tokenize(record["correction"]))
-    return annotated, correction
+    rendered, correction = record.get("rendered"), record.get("correction")
+    if not (isinstance(rendered, str) and isinstance(correction, str)):
+        raise DataError('a record needs string "rendered" and "correction" fields')
+    return parse_annotation(tokenize(rendered)), parse_correction(tokenize(correction))

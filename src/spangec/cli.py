@@ -1,9 +1,9 @@
 """Command-line front end for the span-detection + span-correction pipeline.
 
 Subcommands: extract, make-data, corrupt, train-esd, train-esc, run, eval,
-sweep. Everything streams line by line; exit codes are 0 (success),
-1 (usage), 2 (data error), 3 (model error). Set SPANGEC_LOG to control log
-verbosity.
+sweep. extract, make-data and run stream line by line; the others read their
+whole input first. Exit codes are 0 (success), 1 (usage), 2 (data error),
+3 (model error). Set SPANGEC_LOG to control log verbosity.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import sys
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 from . import alignment, annotation, datagen, esc, esd, metrics, pipeline
 from .errors import DataError, ModelError, SpangecError
@@ -90,7 +90,7 @@ def cmd_extract(args) -> int:
                 # Gap 0 would still fuse adjacent spans, so merge only on request.
                 if args.merge_gap > 0:
                     spans = alignment.merge_edits(spans, args.merge_gap)
-                instance = datagen.make_esc_from_spans(source, target, spans, path)
+                instance = datagen.make_esc_from_spans(path, spans)
             except (ValueError, SpangecError) as exc:
                 raise DataError(f"line {lineno}: {exc}") from exc
             fout.write(
@@ -115,14 +115,14 @@ def cmd_make_data(args) -> int:
             try:
                 # One alignment serves the detector and the corrector instance.
                 path = alignment.align(source, target)
-                inst = datagen.make_esd_instance(source, target, path)
+                inst = datagen.make_esd_instance(path)
                 record = {"tokens": list(inst.tokens), "tags": list(inst.tags)}
                 esd_out.write(json.dumps(record, ensure_ascii=False) + "\n")
                 rng = datagen.sentence_rng(args.seed, lineno)
                 if source and rng.random() < args.sampled_ratio:
-                    esc_inst = datagen.make_esc_sampled(source, target, cfg, rng, path)
+                    esc_inst = datagen.make_esc_sampled(path, cfg, rng)
                 else:
-                    esc_inst = datagen.make_esc_gold(source, target, path)
+                    esc_inst = datagen.make_esc_gold(path)
                 esc_out.write(
                     annotation.to_json_record(esc_inst.annotated, esc_inst.correction)
                     + "\n"
@@ -158,45 +158,37 @@ def cmd_corrupt(args) -> int:
     return 0
 
 
-def _read_esd_jsonl(path: str) -> list[datagen.EsdInstance]:
-    instances = []
+def _esd_record(line: str) -> datagen.EsdInstance:
+    record = json.loads(line)
+    tokens, tags = record["tokens"], record["tags"]
+    if not (isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens)):
+        raise DataError("tokens must be a list of strings")
+    if not (isinstance(tags, list) and set(tags) <= {0, 1}):
+        raise DataError("tags must be a list of 0s and 1s")
+    return datagen.EsdInstance(tokens=tuple(tokens), tags=tuple(tags))
+
+
+def _esc_record(line: str) -> datagen.EscInstance:
+    return datagen.EscInstance(*annotation.from_json_record(line))
+
+
+def _read_jsonl(path: str, parse: Callable[[str], object]) -> list:
+    """Parse every non-blank line; a bad record is a data error at path:line."""
+    records = []
     with _open_in(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-                instances.append(
-                    datagen.EsdInstance(
-                        tokens=tuple(record["tokens"]),
-                        tags=tuple(int(t) for t in record["tags"]),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                records.append(parse(line))
+            except (ValueError, KeyError, TypeError, AttributeError, SpangecError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return instances
-
-
-def _read_esc_jsonl(path: str) -> list[datagen.EscInstance]:
-    instances = []
-    with _open_in(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                annotated, correction = annotation.from_json_record(line)
-            except (json.JSONDecodeError, KeyError, SpangecError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            if correction is None:
-                raise DataError(f"{path}:{lineno}: training record lacks a correction")
-            instances.append(datagen.EscInstance(annotated=annotated, correction=correction))
-    return instances
+    return records
 
 
 def cmd_train_esd(args) -> int:
-    instances = _read_esd_jsonl(args.input)
+    instances = _read_jsonl(args.input, _esd_record)
     model = esd.train_tagger(instances, epochs=args.epochs, seed=args.seed)
     model.save(args.model_out)
     log.info("trained detector on %d instances -> %s", len(instances), args.model_out)
@@ -204,7 +196,7 @@ def cmd_train_esd(args) -> int:
 
 
 def cmd_train_esc(args) -> int:
-    instances = _read_esc_jsonl(args.input)
+    instances = _read_jsonl(args.input, _esc_record)
     model = esc.train_corrector(instances)
     model.save(args.model_out)
     log.info("trained corrector on %d instances -> %s", len(instances), args.model_out)
@@ -387,7 +379,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         log.error("%s", exc)
         print(f"spangec: model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         log.error("%s", exc)
         print(f"spangec: data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -1,6 +1,6 @@
 """Training-data generation for the detector and the corrector.
 
-Three flavours of instances come out of a parallel (source, target) pair:
+Three flavours of instances come out of an aligned (source, target) pair:
 
 * detector instances: per-token 0/1 tags marking edited spans;
 * gold corrector instances: the true edit spans with their replacements;
@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .alignment import (
     AlignmentPath,
     EditSpan,
     TokenSeq,
-    align,
     extract_edits,
     project_spans,
 )
@@ -87,49 +86,25 @@ class CorruptConfig:
             raise ValueError("insert/replace corruption needs a non-empty vocab")
 
 
-def gold_spans(source: Sequence[str], target: Sequence[str]) -> list[EditSpan]:
-    return extract_edits(align(source, target))
-
-
-def make_esd_instance(
-    source: Sequence[str],
-    target: Sequence[str],
-    path: Optional[AlignmentPath] = None,
-) -> EsdInstance:
+def make_esd_instance(path: AlignmentPath) -> EsdInstance:
     """Tag source tokens: 1 inside any gold edit span, 0 elsewhere."""
-    src = tuple(source)
-    if path is None:
-        path = align(src, tuple(target))
-    tags = [0] * len(src)
+    tags = [0] * len(path.source)
     for span in extract_edits(path):
         for i in range(span.src_start, span.src_end):
             tags[i] = 1
-    return EsdInstance(tokens=src, tags=tuple(tags))
+    return EsdInstance(tokens=path.source, tags=tuple(tags))
 
 
-def make_esc_from_spans(
-    source: Sequence[str],
-    target: Sequence[str],
-    spans: Sequence[EditSpan],
-    path: Optional[AlignmentPath] = None,
-) -> EscInstance:
+def make_esc_from_spans(path: AlignmentPath, spans: Sequence[EditSpan]) -> EscInstance:
     """Build a corrector instance for the given spans with projected replacements."""
-    if path is None:
-        path = align(source, target)
-    annotated = annotate(source, spans)
+    annotated = annotate(path.source, spans)
     segments = tuple(enumerate(project_spans(path, spans), start=1))
     return EscInstance(annotated=annotated, correction=CorrectionOutput(segments))
 
 
-def make_esc_gold(
-    source: Sequence[str],
-    target: Sequence[str],
-    path: Optional[AlignmentPath] = None,
-) -> EscInstance:
+def make_esc_gold(path: AlignmentPath) -> EscInstance:
     """Corrector instance over the gold edit spans."""
-    if path is None:
-        path = align(source, target)
-    return make_esc_from_spans(source, target, extract_edits(path), path=path)
+    return make_esc_from_spans(path, extract_edits(path))
 
 
 def sample_spans(
@@ -168,15 +143,10 @@ def sample_spans(
 
 
 def make_esc_sampled(
-    source: Sequence[str],
-    target: Sequence[str],
-    cfg: SpanSampleConfig,
-    rng: random.Random,
-    path: Optional[AlignmentPath] = None,
+    path: AlignmentPath, cfg: SpanSampleConfig, rng: random.Random
 ) -> EscInstance:
     """Corrector instance over randomly sampled spans (robustness training)."""
-    spans = sample_spans(source, cfg, rng)
-    return make_esc_from_spans(source, target, spans, path=path)
+    return make_esc_from_spans(path, sample_spans(path.source, cfg, rng))
 
 
 def corrupt(

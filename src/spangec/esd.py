@@ -7,8 +7,8 @@ identity/affix/shape features it uses corpus-frequency bins of the token and
 its adjacent bigrams (counted over the training sources and stored with the
 model), which is what lets a linear model flag novel token juxtapositions it
 has never seen verbatim. It is a deliberately small, deterministic stand-in
-for a fine-tuned encoder: the estimator interface (fit / predict_probs /
-get_params) is the seam where a stronger model plugs in.
+for a fine-tuned encoder: the estimator interface (fit / predict_probs) is
+the seam where a stronger model plugs in.
 """
 
 from __future__ import annotations
@@ -134,16 +134,6 @@ class EsdTagger:
         self.temperature: float = 1.0
         self._unigram_counts = np.zeros(N_BUCKETS, dtype=np.uint32)
         self._bigram_counts = np.zeros(N_BUCKETS, dtype=np.uint32)
-
-    def get_params(self) -> dict:
-        return {"epochs": self.epochs, "seed": self.seed}
-
-    def set_params(self, **params) -> "EsdTagger":
-        for key, value in params.items():
-            if key not in ("epochs", "seed"):
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
 
     def _feature_ids(self, tokens: Sequence[str]) -> list[np.ndarray]:
         ids: list[np.ndarray] = []

@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import esc, esd, metrics
-from .alignment import TokenSeq, merge_edits
+from .alignment import TokenSeq, align, merge_edits
 from .annotation import MAX_SPANS, annotate, merge_corrections
 from .datagen import make_esd_instance
 
@@ -62,7 +62,7 @@ def threshold_sweep(
     thresholds: Sequence[float] = SWEEP_THRESHOLDS,
 ) -> list[tuple[float, metrics.PRF]]:
     """Token-level detection P/R/F0.5 at each probability threshold."""
-    gold_tags = [make_esd_instance(src, tgt).tags for src, tgt in pairs]
+    gold_tags = [make_esd_instance(align(src, tgt)).tags for src, tgt in pairs]
     all_probs = [tagger.predict_probs(src) for src, _ in pairs]
     rows = []
     for threshold in thresholds:

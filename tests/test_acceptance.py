@@ -25,7 +25,7 @@ import synthlang
 from spangec.alignment import align, detokenize, tokenize
 from spangec.annotation import annotate, merge_corrections
 from spangec.cli import main
-from spangec.datagen import gold_spans, make_esc_gold, make_esd_instance
+from spangec.datagen import make_esc_gold, make_esd_instance
 from spangec.esc import oracle_correct, train_corrector
 from spangec.esd import DecodeConfig, train_tagger
 from spangec.metrics import detection_metrics, f_beta
@@ -140,7 +140,7 @@ def _round_trip_corpus(vocab_size, cjk, seed):
     clean = synthlang.gen_clean_corpus(5_000, vocab, lang, seed=seed + 1)
     pairs = synthlang.corrupt_corpus(clean, vocab, error_rate=0.1, seed=seed + 2)
     for noisy, target in pairs:
-        instance = make_esc_gold(noisy, target)
+        instance = make_esc_gold(align(noisy, target))
         merged = merge_corrections(instance.annotated, oracle_correct(instance).output)
         assert merged == target, (noisy, target, merged)
     return len(pairs)
@@ -162,7 +162,7 @@ def trained_setup():
     lang = synthlang.make_language(vocab, branching=6, seed=1)
     clean = synthlang.gen_clean_corpus(22_000, vocab, lang, seed=2)
     pairs = synthlang.corrupt_corpus(clean, vocab, error_rate=0.1, seed=3)
-    instances = [make_esd_instance(noisy, target) for noisy, target in pairs]
+    instances = [make_esd_instance(align(noisy, target)) for noisy, target in pairs]
     tagger = train_tagger(instances[:20_000], epochs=5, seed=0)
     return tagger, instances[20_000:22_000]
 
@@ -231,9 +231,9 @@ def test_criterion_6_efficiency_accounting():
         pairs = synthlang.corrupt_corpus(clean, vocab, error_rate=rate, seed=3)
         train, test = pairs[:4_000], pairs[4_000:]
         tagger = train_tagger(
-            [make_esd_instance(s, t) for s, t in train], epochs=5, seed=0
+            [make_esd_instance(align(s, t)) for s, t in train], epochs=5, seed=0
         )
-        corrector = train_corrector(make_esc_gold(s, t) for s, t in train)
+        corrector = train_corrector(make_esc_gold(align(s, t)) for s, t in train)
         _, report = run_pipeline(
             [s for s, _ in test], tagger, corrector, DecodeConfig(threshold=0.2)
         )

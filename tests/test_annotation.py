@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,12 @@ from spangec.annotation import (
     render_correction,
     to_json_record,
 )
-from spangec.errors import MalformedMarkersError, OverlapError, ReservedTokenError
+from spangec.errors import (
+    DataError,
+    MalformedMarkersError,
+    OverlapError,
+    ReservedTokenError,
+)
 
 LAW_SOURCE = tokenize("The law 's spirit also include the fairness .")
 LAW_SPAN = EditSpan(4, 9, tokenize("also includes fairness ."))
@@ -146,16 +153,17 @@ def test_json_record_round_trip():
     ann = annotate(LAW_SOURCE, [LAW_SPAN])
     corr = CorrectionOutput(((1, tokenize("also includes fairness .")),))
     line = to_json_record(ann, corr)
+    assert json.loads(line).keys() == {"rendered", "correction"}
     back_ann, back_corr = from_json_record(line)
     assert back_ann.source == ann.source
     assert [(s.src_start, s.src_end) for s in back_ann.spans] == [(4, 9)]
     assert back_corr == corr
 
 
-def test_json_record_null_correction():
-    ann = annotate(("a",), [])
-    _, corr = from_json_record(to_json_record(ann))
-    assert corr is None
+def test_json_record_null_or_missing_correction_rejected():
+    for line in ('{"rendered": "a", "correction": null}', '{"rendered": "a"}'):
+        with pytest.raises(DataError):
+            from_json_record(line)
 
 
 tokens_st = st.lists(

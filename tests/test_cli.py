@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthlang
-from spangec.alignment import detokenize, tokenize
+from spangec.alignment import align, detokenize, tokenize
+from spangec.annotation import parse_annotation
 from spangec.cli import main
 from spangec.datagen import EsdInstance, make_esc_gold
 from spangec.esc import train_corrector
@@ -95,7 +96,7 @@ def test_extract_identity_pairs(tmp_path):
     write_lines(tmp_path / "pairs.tsv", ["a b c\ta b c", "x y\tx y"])
     assert main(["extract", str(tmp_path / "pairs.tsv"), "-o", str(tmp_path / "out.jsonl")]) == 0
     records = [json.loads(l) for l in (tmp_path / "out.jsonl").read_text().splitlines()]
-    assert all(r["spans"] == [] for r in records)
+    assert all(parse_annotation(tokenize(r["rendered"])).spans == () for r in records)
     assert records[0]["rendered"] == "a b c"
 
 
@@ -183,7 +184,8 @@ def test_make_data_gold_only_and_sampled_only(corpus, tmp_path):
         ) == 0
         record = json.loads((tmp_path / "esc.jsonl").read_text())
         if expect_gold:
-            assert record["spans"] == [[1, 2]]
+            spans = parse_annotation(tokenize(record["rendered"])).spans
+            assert [(s.src_start, s.src_end) for s in spans] == [(1, 2)]
 
 
 def test_train_esd_empty_corpus_exit_code(tmp_path):
@@ -191,6 +193,54 @@ def test_train_esd_empty_corpus_exit_code(tmp_path):
     assert main(
         ["train-esd", str(tmp_path / "empty.jsonl"), "--model-out", str(tmp_path / "m")]
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "command, record",
+    [
+        ("train-esd", '{"tokens": 5, "tags": [0]}'),
+        ("train-esd", "[1, 2]"),
+        ("train-esd", '{"tokens": [1, "b"], "tags": [0, 1]}'),
+        ("train-esd", '{"tokens": "ab", "tags": [0, 1]}'),
+        ("train-esd", '{"tokens": ["a", "b"], "tags": [0, 7]}'),
+        ("train-esc", '{"rendered": 5, "correction": "<s1> a </s1>"}'),
+        ("train-esc", "[1]"),
+    ],
+    ids=[
+        "tokens_not_list",
+        "esd_not_an_object",
+        "token_not_string",
+        "tokens_a_string",
+        "tag_not_0_or_1",
+        "rendered_not_string",
+        "esc_not_an_object",
+    ],
+)
+def test_bad_training_record_exit_code(tmp_path, command, record):
+    write_lines(tmp_path / "train.jsonl", [record])
+    assert main(
+        [command, str(tmp_path / "train.jsonl"), "--model-out", str(tmp_path / "m")]
+    ) == 2
+
+
+@pytest.mark.parametrize(
+    "command", ["make-data", "extract", "corrupt", "train-esd", "train-esc", "run", "eval"]
+)
+def test_invalid_utf8_exit_code(small_models, tmp_path, command):
+    bad = str(tmp_path / "bad.txt")
+    (tmp_path / "bad.txt").write_bytes(b"a \xff b\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "make-data": [bad, "--esd-out", out, "--esc-out", out + "2"],
+        "extract": [bad, "-o", out],
+        "corrupt": [bad, "-o", out],
+        "train-esd": [bad, "--model-out", out],
+        "train-esc": [bad, "--model-out", out],
+        "run": [bad, "--esd-model", str(small_models / "esd"),
+                "--esc-model", str(small_models / "esc"), "-o", out],
+        "eval": ["--source", bad, "--hypothesis", bad, "--gold", bad],
+    }[command]
+    assert main([command, *argv]) == 2
 
 
 def test_train_esd_deterministic(corpus, tmp_path):
@@ -298,7 +348,7 @@ def small_models(tmp_path_factory):
         epochs=2,
     )
     tagger.save(str(root / "esd"))
-    train_corrector([make_esc_gold(("a", "b"), ("a", "c"))]).save(str(root / "esc"))
+    train_corrector([make_esc_gold(align(("a", "b"), ("a", "c")))]).save(str(root / "esc"))
     write_lines(root / "in.txt", ["a c", "a b"])
     assert run_damaged(root, "esd", (root / "esd").read_bytes()) == 0
     return root

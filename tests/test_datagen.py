@@ -27,24 +27,24 @@ from spangec.datagen import (
 
 
 def test_esd_instance_identity_all_zero():
-    inst = make_esd_instance(("a", "b"), ("a", "b"))
+    inst = make_esd_instance(align(("a", "b"), ("a", "b")))
     assert inst.tags == (0, 0)
 
 
 def test_esd_instance_substitution():
-    inst = make_esd_instance(("a", "b", "c"), ("a", "x", "c"))
+    inst = make_esd_instance(align(("a", "b", "c"), ("a", "x", "c")))
     assert inst.tags == (0, 1, 0)
 
 
 def test_esd_instance_hotel_fragment():
     # insert run anchors to "hotel", deletions cover "is to"
     src = tokenize("is to my hotel .")
-    inst = make_esd_instance(src, tokenize("my hotel is ."))
+    inst = make_esd_instance(align(src, tokenize("my hotel is .")))
     assert inst.tags == (1, 1, 0, 1, 0)
 
 
 def test_esc_gold_identity_pair():
-    inst = make_esc_gold(("a", "b"), ("a", "b"))
+    inst = make_esc_gold(align(("a", "b"), ("a", "b")))
     assert inst.annotated.spans == ()
     assert inst.correction.segments == ()
 
@@ -52,15 +52,16 @@ def test_esc_gold_identity_pair():
 def test_esc_gold_table6_row():
     src = tokenize("The law 's spirit also include the fairness .")
     tgt = tokenize("The law 's spirit also includes fairness .")
-    inst = make_esc_gold(src, tgt)
+    inst = make_esc_gold(align(src, tgt))
     assert merge_corrections(inst.annotated, inst.correction) == tgt
 
 
 def test_esc_gold_matches_extracted_replacements():
     src = tokenize("She go to school yesterday")
     tgt = tokenize("She went to the school")
-    inst = make_esc_gold(src, tgt)
-    spans = extract_edits(align(src, tgt))
+    path = align(src, tgt)
+    inst = make_esc_gold(path)
+    spans = extract_edits(path)
     assert tuple(r for _, r in inst.correction.segments) == tuple(
         s.replacement for s in spans
     )
@@ -69,8 +70,9 @@ def test_esc_gold_matches_extracted_replacements():
 def test_esd_esc_consistency():
     src = tokenize("a b c d e f")
     tgt = tokenize("a x c f g")
-    esd = make_esd_instance(src, tgt)
-    esc = make_esc_gold(src, tgt)
+    path = align(src, tgt)
+    esd = make_esd_instance(path)
+    esc = make_esc_gold(path)
     tagged = {i for i, t in enumerate(esd.tags) if t == 1}
     in_spans = {
         i
@@ -138,15 +140,16 @@ def test_projection_of_gold_span_equals_gold_replacement():
 def test_sampled_with_gold_spans_reproduces_gold():
     src = tokenize("She go to school yesterday .")
     tgt = tokenize("She went to the school .")
-    gold_spans = extract_edits(align(src, tgt))
-    injected = make_esc_from_spans(src, tgt, gold_spans)
-    assert injected == make_esc_gold(src, tgt)
+    path = align(src, tgt)
+    gold_spans = extract_edits(path)
+    injected = make_esc_from_spans(path, gold_spans)
+    assert injected == make_esc_gold(path)
 
 
 def test_full_cover_span_projects_to_target():
     src = tokenize("a b c d")
     tgt = tokenize("x b d e")
-    inst = make_esc_from_spans(src, tgt, [EditSpan(0, 4)])
+    inst = make_esc_from_spans(align(src, tgt), [EditSpan(0, 4)])
     assert inst.correction.segments == ((1, tgt),)
     assert merge_corrections(inst.annotated, inst.correction) == tgt
 
@@ -161,11 +164,12 @@ def test_sampled_instance_round_trip_when_spans_cover_edits(src, tgt, seed):
     # A span set that nests every gold span reconstructs the target exactly.
     src = tuple(src)
     tgt = tuple(tgt)
-    gold = extract_edits(align(src, tgt))
-    inst = make_esc_from_spans(src, tgt, [EditSpan(0, len(src))])
+    path = align(src, tgt)
+    gold = extract_edits(path)
+    inst = make_esc_from_spans(path, [EditSpan(0, len(src))])
     assert merge_corrections(inst.annotated, inst.correction) == tgt
     # Partial coverage: apply the projected replacement of each gold span.
-    inst2 = make_esc_from_spans(src, tgt, gold)
+    inst2 = make_esc_from_spans(path, gold)
     assert merge_corrections(inst2.annotated, inst2.correction) == tgt
 
 
@@ -173,8 +177,8 @@ def test_make_esc_sampled_deterministic():
     src = tokenize("a b c d e f g h")
     tgt = tokenize("a b x d e f h")
     cfg = SpanSampleConfig(coverage_budget=0.3)
-    a = make_esc_sampled(src, tgt, cfg, random.Random(3))
-    b = make_esc_sampled(src, tgt, cfg, random.Random(3))
+    a = make_esc_sampled(align(src, tgt), cfg, random.Random(3))
+    b = make_esc_sampled(align(src, tgt), cfg, random.Random(3))
     assert a == b
 
 
@@ -232,7 +236,7 @@ def test_corrupt_pairs_align_and_reconstruct(sent, seed):
     noisy = corrupt(sent, cfg, random.Random(seed))
     if not noisy:
         return  # fully deleted; nothing to align against
-    inst = make_esd_instance(noisy, sent)
+    inst = make_esd_instance(align(noisy, sent))
     assert any(inst.tags) == (noisy != sent)
     spans = extract_edits(align(noisy, sent))
     assert apply_spans(noisy, spans) == sent

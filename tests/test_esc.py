@@ -1,6 +1,6 @@
 import pytest
 
-from spangec.alignment import EditSpan, tokenize
+from spangec.alignment import EditSpan, align, tokenize
 from spangec.annotation import annotate, merge_corrections, parse_correction
 from spangec.datagen import make_esc_gold
 from spangec.errors import EmptyCorpusError
@@ -32,7 +32,7 @@ def make_training_corpus():
         ("you also include every file .", "you also includes every file ."),
         ("he walk fast .", "he walks fast ."),
     ]
-    return [make_esc_gold(tokenize(s), tokenize(t)) for s, t in pairs]
+    return [make_esc_gold(align(tokenize(s), tokenize(t))) for s, t in pairs]
 
 
 def test_phrase_table_learns_frequent_pattern():
@@ -69,7 +69,7 @@ def test_correct_table6_pattern_and_decode_steps():
 
     # train on the full annotated span, as sampled-span instances would
     instance = make_esc_from_spans(
-        LAW_SRC, LAW_TGT, [EditSpan(4, 9, tokenize("also includes fairness ."))]
+        align(LAW_SRC, LAW_TGT), [EditSpan(4, 9, tokenize("also includes fairness ."))]
     )
     model = train_corrector([instance])
     annotated, _ = law_instance()
@@ -114,13 +114,13 @@ def test_decode_steps_match_serialized_token_count():
 def test_tie_broken_lexicographically():
     pairs = [("x a y", "x b y"), ("x a y", "x c y")]
     model = train_corrector(
-        [make_esc_gold(tokenize(s), tokenize(t)) for s, t in pairs]
+        [make_esc_gold(align(tokenize(s), tokenize(t))) for s, t in pairs]
     )
     assert model.lookup("x", ("a",)) == ("b",)
 
 
 def test_oracle_round_trip():
-    instance = make_esc_gold(LAW_SRC, LAW_TGT)
+    instance = make_esc_gold(align(LAW_SRC, LAW_TGT))
     result = oracle_correct(instance)
     assert merge_corrections(instance.annotated, result.output) == LAW_TGT
 
@@ -128,13 +128,13 @@ def test_oracle_round_trip():
 def test_oracle_hotel_rendering():
     src = tokenize("is to my hotel .")
     tgt = tokenize("my hotel is .")
-    instance = make_esc_gold(src, tgt)
+    instance = make_esc_gold(align(src, tgt))
     result = oracle_correct(instance)
     assert merge_corrections(instance.annotated, result.output) == tgt
 
 
 def test_oracle_empty_replacement_deletes():
-    instance = make_esc_gold(tokenize("a b c"), tokenize("a c"))
+    instance = make_esc_gold(align(tokenize("a b c"), tokenize("a c")))
     result = oracle_correct(instance)
     assert merge_corrections(instance.annotated, result.output) == ("a", "c")
 

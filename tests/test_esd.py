@@ -78,15 +78,6 @@ def test_predict_before_fit_rejected():
         EsdTagger().predict_probs(("a",))
 
 
-def test_get_set_params():
-    model = EsdTagger(epochs=3, seed=4)
-    assert model.get_params() == {"epochs": 3, "seed": 4}
-    model.set_params(epochs=9)
-    assert model.epochs == 9
-    with pytest.raises(ValueError):
-        model.set_params(bogus=1)
-
-
 def test_serialization_round_trip(tmp_path):
     model = train_tagger(make_instances(), epochs=3, seed=2)
     path = str(tmp_path / "model.bin")
