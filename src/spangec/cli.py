@@ -13,8 +13,9 @@ import contextlib
 import json
 import logging
 import os
+import re
 import sys
-from typing import Callable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import alignment, annotation, datagen, esc, esd, metrics, pipeline
 from .errors import DataError, ModelError, SpangecError
@@ -32,10 +33,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _open_in(path: str):
-    if path == "-":
-        return contextlib.nullcontext(sys.stdin)
-    return open(path, "r", encoding="utf-8")
+# What errors="surrogateescape" decodes an invalid UTF-8 byte to.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _checked_lines(fh: TextIO, name: str) -> Iterator[str]:
+    """Yield the lines of fh, which escapes undecodable bytes; invalid UTF-8
+    is a data error naming the file and the line."""
+    for lineno, line in enumerate(fh, start=1):
+        bad = _ESCAPED_BYTE.search(line)
+        if bad:
+            byte = ord(bad.group()) - 0xDC00
+            raise DataError(f"{name}:{lineno}: invalid UTF-8 byte 0x{byte:02x}")
+        yield line
+
+
+@contextlib.contextmanager
+def _open_in(path: str) -> Iterator[Iterator[str]]:
+    """The lines of path, or of stdin for -, decoded as UTF-8."""
+    name = "<stdin>" if path == "-" else path
+    source = sys.stdin.fileno() if path == "-" else path
+    with open(source, "r", encoding="utf-8", errors="surrogateescape", closefd=path != "-") as fh:
+        yield _checked_lines(fh, name)
 
 
 def _open_out(path: Optional[str]):
@@ -51,7 +70,9 @@ def _check_distinct(input_path: str, output_path: Optional[str]) -> None:
             raise DataError(f"output {output_path} is the input file; write elsewhere")
 
 
-def read_parallel_tsv(fh: TextIO) -> Iterator[tuple[int, alignment.TokenSeq, alignment.TokenSeq]]:
+def read_parallel_tsv(
+    fh: Iterable[str],
+) -> Iterator[tuple[int, alignment.TokenSeq, alignment.TokenSeq]]:
     """Yield (line number, source tokens, target tokens) from source<TAB>target lines."""
     for lineno, line in enumerate(fh, start=1):
         line = line.rstrip("\n")
@@ -203,7 +224,7 @@ def cmd_train_esc(args) -> int:
     return 0
 
 
-def _read_sentences(fh: TextIO) -> Iterator[alignment.TokenSeq]:
+def _read_sentences(fh: Iterable[str]) -> Iterator[alignment.TokenSeq]:
     """Yield the tokens of each line; a reserved marker is a data error."""
     for lineno, line in enumerate(fh, start=1):
         tokens = alignment.tokenize(line.rstrip("\n"))
@@ -379,7 +400,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         log.error("%s", exc)
         print(f"spangec: model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (DataError, OSError, UnicodeDecodeError) as exc:
+    except (DataError, OSError) as exc:
         log.error("%s", exc)
         print(f"spangec: data error: {exc}", file=sys.stderr)
         return EXIT_DATA

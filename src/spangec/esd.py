@@ -8,7 +8,8 @@ its adjacent bigrams (counted over the training sources and stored with the
 model), which is what lets a linear model flag novel token juxtapositions it
 has never seen verbatim. It is a deliberately small, deterministic stand-in
 for a fine-tuned encoder: the estimator interface (fit / predict_probs) is
-the seam where a stronger model plugs in.
+the seam where a stronger model plugs in. Feature ids are memoised per
+distinct token and bigram in two bounded memos, so a repeat is hashed once.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ _SEP = "\x1f"
 
 # Count-bin edges for frequency features: 0, 1-2, 3-8, 9+.
 _BIN_EDGES = (0, 2, 8)
+# Entries a feature-id memo holds before it is emptied: room for the few
+# thousand frequent bigrams of a text. The cap counts entries, not bytes: both
+# memos full cost about 2 MB at word-length tokens, more with very long ones
+# (unbounded, they grow to 19 MB on a text of 20k types and 50k bigrams).
+_MEMO_CAP = 4096
 
 
 def _bucket(feature: str) -> int:
@@ -85,25 +91,32 @@ def _bigram_key(left: str, right: str) -> int:
     return _bucket("b=" + left + _SEP + right)
 
 
-# Frequency-bin feature buckets are a small closed set; precompute them.
-_UF_BINS = tuple(_bucket(f"uf={b}") for b in range(len(_BIN_EDGES) + 1))
-_BFL_BINS = tuple(_bucket(f"bfl={b}") for b in range(len(_BIN_EDGES) + 1))
-_BFR_BINS = tuple(_bucket(f"bfr={b}") for b in range(len(_BIN_EDGES) + 1))
-_BFLR_BINS = tuple(
-    tuple(_bucket(f"bflr={bl},{br}") for br in range(len(_BIN_EDGES) + 1))
-    for bl in range(len(_BIN_EDGES) + 1)
+def _packed(*ids: int) -> bytes:
+    """Bucket ids as little-endian int64s: a sentence's rows are joined from
+    such pieces and read back with one np.frombuffer."""
+    return struct.pack(f"<{len(ids)}q", *ids)
+
+
+# Frequency-bin feature buckets are a small closed set; precompute them: the
+# unigram bin, and for each (left bin, right bin) the left, right and joint
+# bigram-bin features.
+_N_BINS = len(_BIN_EDGES) + 1
+_UNIGRAM_BIN_IDS = tuple(_packed(_bucket(f"uf={b}")) for b in range(_N_BINS))
+_BIGRAM_BIN_IDS = tuple(
+    tuple(
+        _packed(_bucket(f"bfl={bl}"), _bucket(f"bfr={br}"), _bucket(f"bflr={bl},{br}"))
+        for br in range(_N_BINS)
+    )
+    for bl in range(_N_BINS)
 )
 
 
-def token_features(tokens: Sequence[str], i: int) -> list[str]:
-    """Count-independent features for token i: identity, casing, affixes,
-    shape, and the adjacent bigrams. Context enters only through bigrams
-    (identity here, frequency bins in the tagger): raw neighbour-identity
+def _count_free_ids(tok: str) -> bytes:
+    """Packed buckets of a token's ten count-free features: bias, identity,
+    casing, shape and affixes. Context enters only through bigrams (identity
+    and frequency bins, see `EsdTagger._feature_ids`): raw neighbour-identity
     features measurably hurt generalisation by memorising training noise."""
-    tok = tokens[i]
-    prev1 = tokens[i - 1] if i >= 1 else _PAD
-    next1 = tokens[i + 1] if i + 1 < len(tokens) else _PAD
-    return [
+    features = (
         "b=",
         "w=" + tok,
         "lw=" + tok.lower(),
@@ -114,17 +127,19 @@ def token_features(tokens: Sequence[str], i: int) -> list[str]:
         "s1=" + tok[-1:],
         "s2=" + tok[-2:],
         "s3=" + tok[-3:],
-        "bg-=" + prev1 + _SEP + tok,
-        "bg+=" + tok + _SEP + next1,
-    ]
+    )
+    return _packed(*(_bucket(f) for f in features))
 
 
 class EsdTagger:
     """Binary token tagger with averaged-perceptron training.
 
     Parameters are plain constructor arguments; fit() consumes EsdInstance
-    objects and freezes the model. Trained taggers are immutable and safe to
-    query from multiple threads.
+    objects and freezes the model. A trained tagger is not immutable: every
+    query fills two bounded memos of feature ids. Each memo entry is a pure
+    function of the frozen model, though, so no result depends on what the
+    memos hold, and concurrent queries can at worst drop or recompute an
+    entry. Fitting while another thread queries is not safe.
     """
 
     def __init__(self, epochs: int = 5, seed: int = 0):
@@ -134,23 +149,50 @@ class EsdTagger:
         self.temperature: float = 1.0
         self._unigram_counts = np.zeros(N_BUCKETS, dtype=np.uint32)
         self._bigram_counts = np.zeros(N_BUCKETS, dtype=np.uint32)
+        # token -> (its ten count-free ids, its unigram-bin id), packed
+        self._token_memo: dict[str, tuple[bytes, bytes]] = {}
+        # (left, right) -> (its bg-= id, packed; its bg+= id, packed; its count bin)
+        self._bigram_memo: dict[tuple[str, str], tuple[bytes, bytes, int]] = {}
 
-    def _feature_ids(self, tokens: Sequence[str]) -> list[np.ndarray]:
-        ids: list[np.ndarray] = []
-        n = len(tokens)
-        for i in range(n):
-            feats = [_bucket(f) for f in token_features(tokens, i)]
-            uf = _count_bin(int(self._unigram_counts[_unigram_key(tokens[i])]))
-            feats.append(_UF_BINS[uf])
-            left = tokens[i - 1] if i >= 1 else _PAD
-            right = tokens[i + 1] if i + 1 < n else _PAD
-            bl = _count_bin(int(self._bigram_counts[_bigram_key(left, tokens[i])]))
-            br = _count_bin(int(self._bigram_counts[_bigram_key(tokens[i], right)]))
-            feats.append(_BFL_BINS[bl])
-            feats.append(_BFR_BINS[br])
-            feats.append(_BFLR_BINS[bl][br])
-            ids.append(np.array(feats, dtype=np.int64))
-        return ids
+    def _token_entry(self, tok: str) -> tuple[bytes, bytes]:
+        memo = self._token_memo
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        uf = _count_bin(int(self._unigram_counts[_unigram_key(tok)]))
+        entry = memo[tok] = (_count_free_ids(tok), _UNIGRAM_BIN_IDS[uf])
+        return entry
+
+    def _bigram_entry(self, left: str, right: str) -> tuple[bytes, bytes, int]:
+        memo = self._bigram_memo
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        joined = left + _SEP + right
+        count = int(self._bigram_counts[_bigram_key(left, right)])
+        entry = memo[left, right] = (
+            _packed(_bucket("bg-=" + joined)),
+            _packed(_bucket("bg+=" + joined)),
+            _count_bin(count),
+        )
+        return entry
+
+    def _feature_ids(self, tokens: Sequence[str]) -> np.ndarray:
+        """An (n, 16) array of bucket ids, one row per token: the ten
+        count-free ids, the left bigram's bg-= id, the right bigram's bg+= id,
+        then the unigram bin and the left, right and joint bigram bins.
+
+        Keep this order: numpy sums 16 values pairwise (element j with j+8),
+        so reordering the row changes margins in the last bit."""
+        token_memo, bigram_memo = self._token_memo, self._bigram_memo
+        padded = (_PAD, *tokens, _PAD)
+        bigrams = [
+            bigram_memo.get(pair) or self._bigram_entry(*pair)
+            for pair in zip(padded, padded[1:])
+        ]
+        pieces: list[bytes] = []
+        for tok, (bg_minus, _, bl), (_, bg_plus, br) in zip(tokens, bigrams, bigrams[1:]):
+            count_free, uf = token_memo.get(tok) or self._token_entry(tok)
+            pieces += (count_free, bg_minus, bg_plus, uf, _BIGRAM_BIN_IDS[bl][br])
+        return np.frombuffer(b"".join(pieces), dtype="<i8").reshape(len(tokens), 16)
 
     def _count_corpus(self, instances: Sequence[EsdInstance]) -> None:
         for inst in instances:
@@ -174,6 +216,9 @@ class EsdTagger:
         self._unigram_counts = np.zeros(N_BUCKETS, dtype=np.uint32)
         self._bigram_counts = np.zeros(N_BUCKETS, dtype=np.uint32)
         self._count_corpus(train)
+        # The memoised bins were read from the counts this fit replaced.
+        self._token_memo.clear()
+        self._bigram_memo.clear()
 
         feats = [self._feature_ids(inst.tokens) for inst in train]
         labels = [inst.tags for inst in train]
@@ -218,7 +263,7 @@ class EsdTagger:
     def decision_margins(self, tokens: Sequence[str]) -> list[float]:
         if self.weights is None:
             raise ModelFormatError("tagger is not trained")
-        return [float(self.weights[ids].sum()) for ids in self._feature_ids(tokens)]
+        return self.weights[self._feature_ids(tokens)].sum(axis=1).tolist()
 
     def predict_probs(self, tokens: Sequence[str]) -> list[float]:
         """Per-token error probabilities in [0, 1]."""

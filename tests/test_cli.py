@@ -243,6 +243,29 @@ def test_invalid_utf8_exit_code(small_models, tmp_path, command):
     assert main([command, *argv]) == 2
 
 
+@pytest.mark.parametrize("bad_input", ["--source", "--hypothesis", "--gold"])
+def test_invalid_utf8_error_names_file_and_line(tmp_path, capsys, bad_input):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    write_lines(good, ["a b", "c d"])
+    bad.write_bytes(b"a b\nc \xff d\n")
+    argv = ["eval"]
+    for flag in ("--source", "--hypothesis", "--gold"):
+        argv += [flag, str(bad if flag == bad_input else good)]
+    assert main(argv) == 2
+    assert f"{bad}:2: invalid UTF-8 byte 0xff" in capsys.readouterr().err
+
+
+def test_invalid_utf8_on_stdin_names_line(tmp_path, capsys, monkeypatch):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    write_lines(good, ["a b", "c d", "e f"])
+    bad.write_bytes("a b\nc é d\n".encode() + b"e \xfe f\n")
+    with open(bad, "rb") as stdin:
+        monkeypatch.setattr("sys.stdin", stdin)
+        argv = ["eval", "--source", "-", "--hypothesis", str(good), "--gold", str(good)]
+        assert main(argv) == 2
+    assert "<stdin>:3: invalid UTF-8 byte 0xfe" in capsys.readouterr().err
+
+
 def test_train_esd_deterministic(corpus, tmp_path):
     for name in ("m1", "m2", "m3"):
         assert main(

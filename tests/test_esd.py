@@ -1,11 +1,31 @@
+import functools
 import random
+from typing import Sequence
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spangec import esd
 from spangec.alignment import EditSpan
 from spangec.datagen import EsdInstance
 from spangec.errors import EmptyCorpusError, ModelFormatError
-from spangec.esd import DecodeConfig, EsdTagger, decode_spans, train_tagger
+from spangec.esd import (
+    _BIN_EDGES,
+    _PAD,
+    _SEP,
+    DecodeConfig,
+    EsdTagger,
+    _bigram_key,
+    _bucket,
+    _count_bin,
+    _unigram_key,
+    decode_spans,
+    token_shape,
+    train_tagger,
+)
 
 
 def make_instances():
@@ -152,3 +172,109 @@ def test_decode_spans_always_valid():
             assert 0 <= span.src_start < span.src_end <= len(probs)
             assert span.src_start > prev_end
             prev_end = span.src_end
+
+
+# Reference feature extraction: the per-token code the memoised one replaced,
+# copied verbatim. The memoised ids and margins must equal it exactly.
+_UF_BINS = tuple(_bucket(f"uf={b}") for b in range(len(_BIN_EDGES) + 1))
+_BFL_BINS = tuple(_bucket(f"bfl={b}") for b in range(len(_BIN_EDGES) + 1))
+_BFR_BINS = tuple(_bucket(f"bfr={b}") for b in range(len(_BIN_EDGES) + 1))
+_BFLR_BINS = tuple(
+    tuple(_bucket(f"bflr={bl},{br}") for br in range(len(_BIN_EDGES) + 1))
+    for bl in range(len(_BIN_EDGES) + 1)
+)
+
+
+def token_features(tokens: Sequence[str], i: int) -> list[str]:
+    """Count-independent features for token i: identity, casing, affixes,
+    shape, and the adjacent bigrams. Context enters only through bigrams
+    (identity here, frequency bins in the tagger): raw neighbour-identity
+    features measurably hurt generalisation by memorising training noise."""
+    tok = tokens[i]
+    prev1 = tokens[i - 1] if i >= 1 else _PAD
+    next1 = tokens[i + 1] if i + 1 < len(tokens) else _PAD
+    return [
+        "b=",
+        "w=" + tok,
+        "lw=" + tok.lower(),
+        "sh=" + token_shape(tok),
+        "p1=" + tok[:1],
+        "p2=" + tok[:2],
+        "p3=" + tok[:3],
+        "s1=" + tok[-1:],
+        "s2=" + tok[-2:],
+        "s3=" + tok[-3:],
+        "bg-=" + prev1 + _SEP + tok,
+        "bg+=" + tok + _SEP + next1,
+    ]
+
+
+def reference_feature_ids(self, tokens: Sequence[str]) -> list[np.ndarray]:
+    ids: list[np.ndarray] = []
+    n = len(tokens)
+    for i in range(n):
+        feats = [_bucket(f) for f in token_features(tokens, i)]
+        uf = _count_bin(int(self._unigram_counts[_unigram_key(tokens[i])]))
+        feats.append(_UF_BINS[uf])
+        left = tokens[i - 1] if i >= 1 else _PAD
+        right = tokens[i + 1] if i + 1 < n else _PAD
+        bl = _count_bin(int(self._bigram_counts[_bigram_key(left, tokens[i])]))
+        br = _count_bin(int(self._bigram_counts[_bigram_key(tokens[i], right)]))
+        feats.append(_BFL_BINS[bl])
+        feats.append(_BFR_BINS[br])
+        feats.append(_BFLR_BINS[bl][br])
+        ids.append(np.array(feats, dtype=np.int64))
+    return ids
+
+
+_POOL = ["the", "The", "THE", "teh", "cat", "dog", "now", "a1", "42", "Word12",
+         "é", "Ünïcode", "straße", "中文", "x-y", _PAD]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_tagger() -> EsdTagger:
+    """A tagger whose counts put pool tokens and bigrams in every count bin."""
+    rng = random.Random(5)
+    extra = []
+    for repeats in (1, 2, 5, 12):
+        sentence = tuple(rng.sample(_POOL, 4))
+        extra += [EsdInstance(sentence, (0, 1, 0, 0))] * repeats
+    return train_tagger(make_instances() + extra, epochs=2, seed=1)
+
+
+_TOKENS = st.lists(
+    st.one_of(
+        st.sampled_from(_POOL),
+        st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8),
+    ),
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("cap", [esd._MEMO_CAP, 1, 2])
+@given(tokens=_TOKENS)
+@settings(max_examples=150, deadline=None)
+def test_feature_ids_and_margins_equal_reference(cap, tokens):
+    tagger = _reference_tagger()
+    with mock.patch.object(esd, "_MEMO_CAP", cap):
+        ids = tagger._feature_ids(tokens)
+        margins = tagger.decision_margins(tokens)
+    reference = reference_feature_ids(tagger, tokens)
+    assert ids.shape == (len(tokens), 16)
+    assert ids.tolist() == [row.tolist() for row in reference]
+    assert margins == [float(tagger.weights[row].sum()) for row in reference]
+
+
+def test_refit_equals_fresh_fit(tmp_path):
+    """Memoised count bins from an earlier fit must not leak into the next."""
+    small, full = make_instances()[:5], make_instances()
+    refit = train_tagger(small, epochs=2, seed=4)
+    for inst in full:
+        refit.predict_probs(inst.tokens)
+    refit.fit(full)
+    fresh = train_tagger(full, epochs=2, seed=4)
+    for inst in full:
+        assert refit.predict_probs(inst.tokens) == fresh.predict_probs(inst.tokens)
+    refit.save(str(tmp_path / "refit.bin"))
+    fresh.save(str(tmp_path / "fresh.bin"))
+    assert (tmp_path / "refit.bin").read_bytes() == (tmp_path / "fresh.bin").read_bytes()
