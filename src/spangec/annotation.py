@@ -24,8 +24,8 @@ from .errors import DataError, MalformedMarkersError, OverlapError, ReservedToke
 
 MAX_SPANS = 64
 
-_OPEN_RE = re.compile(r"^<s([1-9][0-9]?)>$")
-_CLOSE_RE = re.compile(r"^</s([1-9][0-9]?)>$")
+# <sK> or </sK> for K in 1..99; only K <= MAX_SPANS is reserved.
+_MARKER = re.compile(r"<(/?)s([1-9][0-9]?)>")
 
 
 def open_marker(k: int) -> str:
@@ -38,21 +38,18 @@ def close_marker(k: int) -> str:
 
 def _marker_number(token: str) -> tuple[Optional[int], bool]:
     """Return (span number, is_close) or (None, False) for a normal token."""
-    m = _OPEN_RE.match(token)
-    if m and int(m.group(1)) <= MAX_SPANS:
-        return int(m.group(1)), False
-    m = _CLOSE_RE.match(token)
-    if m and int(m.group(1)) <= MAX_SPANS:
-        return int(m.group(1)), True
+    m = _MARKER.fullmatch(token)
+    if m and int(m.group(2)) <= MAX_SPANS:
+        return int(m.group(2)), m.group(1) == "/"
     return None, False
 
 
 def check_no_reserved(tokens: Sequence[str]) -> None:
     """Reject text that uses a reserved marker token literally."""
-    for tok in tokens:
-        num, _ = _marker_number(tok)
-        if num is not None:
-            raise ReservedTokenError(f"token {tok!r} is a reserved span marker")
+    if any(map(_MARKER.fullmatch, tokens)):  # one C-level scan; a hit is rare
+        for tok in tokens:
+            if _marker_number(tok)[0] is not None:
+                raise ReservedTokenError(f"token {tok!r} is a reserved span marker")
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@contextlib.contextmanager
+def _option_checks(args) -> Iterator[None]:
+    """A ValueError from the library's checks of option values is a usage
+    error (exit 1); each command runs them before any other work."""
+    try:
+        yield
+    except ValueError as exc:
+        args.parser.error(str(exc))
+
+
 # What errors="surrogateescape" decodes an invalid UTF-8 byte to.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
@@ -102,6 +112,8 @@ def _load_model(cls, path: str, what: str):
 
 
 def cmd_extract(args) -> int:
+    with _option_checks(args):
+        esd.DecodeConfig(merge_gap=args.merge_gap)
     _check_distinct(args.input, args.output)
     with _open_in(args.input) as fin, _open_out(args.output) as fout:
         for lineno, source, target in read_parallel_tsv(fin):
@@ -121,11 +133,14 @@ def cmd_extract(args) -> int:
 
 
 def cmd_make_data(args) -> int:
-    cfg = datagen.SpanSampleConfig(
-        geometric_p=args.geometric_p,
-        max_span_len=args.max_span_len,
-        coverage_budget=args.coverage_budget,
-    )
+    with _option_checks(args):
+        cfg = datagen.SpanSampleConfig(
+            geometric_p=args.geometric_p,
+            max_span_len=args.max_span_len,
+            coverage_budget=args.coverage_budget,
+        )
+    if not 0 <= args.sampled_ratio <= 1:
+        args.parser.error("sampled_ratio must be in [0, 1]")
     _check_distinct(args.input, args.esd_out)
     _check_distinct(args.input, args.esc_out)
     with contextlib.ExitStack() as stack:
@@ -154,6 +169,11 @@ def cmd_make_data(args) -> int:
 
 
 def cmd_corrupt(args) -> int:
+    probs = {name: getattr(args, name) for name in ("p_insert", "p_delete", "p_replace", "p_swap")}
+    with _option_checks(args):
+        # The vocabulary comes with the input; a stand-in lets the
+        # probabilities be checked first.
+        datagen.CorruptConfig(**probs, vocab=("",))
     with _open_in(args.input) as fin:
         lines = [line.rstrip("\n") for line in fin]
     sentences = [alignment.tokenize(line) for line in lines if line.strip()]
@@ -162,13 +182,7 @@ def cmd_corrupt(args) -> int:
             vocab = tuple(tok for line in fh for tok in alignment.tokenize(line))
     else:
         vocab = tuple(sorted({tok for sent in sentences for tok in sent}))
-    cfg = datagen.CorruptConfig(
-        p_insert=args.p_insert,
-        p_delete=args.p_delete,
-        p_replace=args.p_replace,
-        p_swap=args.p_swap,
-        vocab=vocab,
-    )
+    cfg = datagen.CorruptConfig(**probs, vocab=vocab)
     with _open_out(args.output) as fout:
         for index, sent in enumerate(sentences):
             rng = datagen.sentence_rng(args.seed, index)
@@ -209,6 +223,8 @@ def _read_jsonl(path: str, parse: Callable[[str], object]) -> list:
 
 
 def cmd_train_esd(args) -> int:
+    if args.epochs < 1:
+        args.parser.error("epochs must be at least 1")
     instances = _read_jsonl(args.input, _esd_record)
     model = esd.train_tagger(instances, epochs=args.epochs, seed=args.seed)
     model.save(args.model_out)
@@ -236,9 +252,10 @@ def _read_sentences(fh: Iterable[str]) -> Iterator[alignment.TokenSeq]:
 
 
 def cmd_run(args) -> int:
+    with _option_checks(args):
+        decode_cfg = esd.DecodeConfig(threshold=args.threshold, merge_gap=args.merge_gap)
     tagger = _load_model(esd.EsdTagger, args.esd_model, "detector")
     corrector = _load_model(esc.PhraseTableCorrector, args.esc_model, "corrector")
-    decode_cfg = esd.DecodeConfig(threshold=args.threshold, merge_gap=args.merge_gap)
     _check_distinct(args.input, args.output)
     with _open_in(args.input) as fin, _open_out(args.output) as fout:
         _, report = pipeline.run_pipeline(
@@ -282,8 +299,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    with _option_checks(args):
+        thresholds = tuple(
+            esd.DecodeConfig(threshold=float(t)).threshold for t in args.thresholds.split(",")
+        )
     tagger = _load_model(esd.EsdTagger, args.esd_model, "detector")
-    thresholds = tuple(float(t) for t in args.thresholds.split(","))
     with _open_in(args.input) as fin:
         pairs = [(src, tgt) for _, src, tgt in read_parallel_tsv(fin)]
     rows = pipeline.threshold_sweep(tagger, pairs, thresholds)
@@ -384,6 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "tsv", "text"), default="text")
     p.set_defaults(func=cmd_sweep)
 
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)  # for usage errors found after parsing
     return parser
 
 

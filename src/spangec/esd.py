@@ -9,11 +9,12 @@ model), which is what lets a linear model flag novel token juxtapositions it
 has never seen verbatim. It is a deliberately small, deterministic stand-in
 for a fine-tuned encoder: the estimator interface (fit / predict_probs) is
 the seam where a stronger model plugs in. Feature ids are memoised per
-distinct token and bigram in two bounded memos, so a repeat is hashed once.
+distinct token and bigram in two LRU caches, so a repeat is hashed once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
@@ -47,10 +48,10 @@ _SEP = "\x1f"
 
 # Count-bin edges for frequency features: 0, 1-2, 3-8, 9+.
 _BIN_EDGES = (0, 2, 8)
-# Entries a feature-id memo holds before it is emptied: room for the few
-# thousand frequent bigrams of a text. The cap counts entries, not bytes: both
-# memos full cost about 2 MB at word-length tokens, more with very long ones
-# (unbounded, they grow to 19 MB on a text of 20k types and 50k bigrams).
+# Entries each feature-id memo holds before evicting the least recently used:
+# room for the few thousand frequent bigrams of a text. The cap counts
+# entries, not bytes: both memos full cost about 2.5 MB at word-length tokens,
+# more with very long ones (unbounded, 19 MB on 20k types and 50k bigrams).
 _MEMO_CAP = 4096
 
 
@@ -136,10 +137,11 @@ class EsdTagger:
 
     Parameters are plain constructor arguments; fit() consumes EsdInstance
     objects and freezes the model. A trained tagger is not immutable: every
-    query fills two bounded memos of feature ids. Each memo entry is a pure
+    query fills two LRU memos of feature ids. Each memo entry is a pure
     function of the frozen model, though, so no result depends on what the
-    memos hold, and concurrent queries can at worst drop or recompute an
-    entry. Fitting while another thread queries is not safe.
+    memos hold, and concurrent queries can at worst compute an entry twice
+    (functools.lru_cache stays consistent under threads). Fitting while
+    another thread queries is not safe.
     """
 
     def __init__(self, epochs: int = 5, seed: int = 0):
@@ -149,31 +151,29 @@ class EsdTagger:
         self.temperature: float = 1.0
         self._unigram_counts = np.zeros(N_BUCKETS, dtype=np.uint32)
         self._bigram_counts = np.zeros(N_BUCKETS, dtype=np.uint32)
-        # token -> (its ten count-free ids, its unigram-bin id), packed
-        self._token_memo: dict[str, tuple[bytes, bytes]] = {}
-        # (left, right) -> (its bg-= id, packed; its bg+= id, packed; its count bin)
-        self._bigram_memo: dict[tuple[str, str], tuple[bytes, bytes, int]] = {}
+        self._new_memos()
+
+    def _new_memos(self) -> None:
+        """Empty LRU memos of the two entry builders below, holding at most
+        _MEMO_CAP entries each; their entries read the current counts. They
+        belong to the tagger: a class-level cache would keep every tagger alive."""
+        self._token_ids = functools.lru_cache(maxsize=_MEMO_CAP)(self._token_entry)
+        self._bigram_ids = functools.lru_cache(maxsize=_MEMO_CAP)(self._bigram_entry)
 
     def _token_entry(self, tok: str) -> tuple[bytes, bytes]:
-        memo = self._token_memo
-        if len(memo) >= _MEMO_CAP:
-            memo.clear()
+        """A token's ten count-free ids and its unigram-bin id, packed."""
         uf = _count_bin(int(self._unigram_counts[_unigram_key(tok)]))
-        entry = memo[tok] = (_count_free_ids(tok), _UNIGRAM_BIN_IDS[uf])
-        return entry
+        return _count_free_ids(tok), _UNIGRAM_BIN_IDS[uf]
 
     def _bigram_entry(self, left: str, right: str) -> tuple[bytes, bytes, int]:
-        memo = self._bigram_memo
-        if len(memo) >= _MEMO_CAP:
-            memo.clear()
+        """A bigram's bg-= id and bg+= id, packed, and its count bin."""
         joined = left + _SEP + right
         count = int(self._bigram_counts[_bigram_key(left, right)])
-        entry = memo[left, right] = (
+        return (
             _packed(_bucket("bg-=" + joined)),
             _packed(_bucket("bg+=" + joined)),
             _count_bin(count),
         )
-        return entry
 
     def _feature_ids(self, tokens: Sequence[str]) -> np.ndarray:
         """An (n, 16) array of bucket ids, one row per token: the ten
@@ -182,15 +182,12 @@ class EsdTagger:
 
         Keep this order: numpy sums 16 values pairwise (element j with j+8),
         so reordering the row changes margins in the last bit."""
-        token_memo, bigram_memo = self._token_memo, self._bigram_memo
         padded = (_PAD, *tokens, _PAD)
-        bigrams = [
-            bigram_memo.get(pair) or self._bigram_entry(*pair)
-            for pair in zip(padded, padded[1:])
-        ]
+        bigrams = list(map(self._bigram_ids, padded, padded[1:]))
         pieces: list[bytes] = []
-        for tok, (bg_minus, _, bl), (_, bg_plus, br) in zip(tokens, bigrams, bigrams[1:]):
-            count_free, uf = token_memo.get(tok) or self._token_entry(tok)
+        for (count_free, uf), (bg_minus, _, bl), (_, bg_plus, br) in zip(
+            map(self._token_ids, tokens), bigrams, bigrams[1:]
+        ):
             pieces += (count_free, bg_minus, bg_plus, uf, _BIGRAM_BIN_IDS[bl][br])
         return np.frombuffer(b"".join(pieces), dtype="<i8").reshape(len(tokens), 16)
 
@@ -216,9 +213,8 @@ class EsdTagger:
         self._unigram_counts = np.zeros(N_BUCKETS, dtype=np.uint32)
         self._bigram_counts = np.zeros(N_BUCKETS, dtype=np.uint32)
         self._count_corpus(train)
-        # The memoised bins were read from the counts this fit replaced.
-        self._token_memo.clear()
-        self._bigram_memo.clear()
+        # Entries memoised so far read the counts this fit replaced.
+        self._new_memos()
 
         feats = [self._feature_ids(inst.tokens) for inst in train]
         labels = [inst.tags for inst in train]

@@ -1,4 +1,6 @@
 import json
+import re
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,12 @@ from hypothesis import strategies as st
 
 from spangec.alignment import EditSpan, align, detokenize, extract_edits, tokenize
 from spangec.annotation import (
+    MAX_SPANS,
     AnnotatedSentence,
     CorrectionOutput,
+    _marker_number,
     annotate,
+    check_no_reserved,
     from_json_record,
     merge_corrections,
     parse_annotation,
@@ -59,6 +64,53 @@ def test_annotate_rejects_overlap():
 def test_annotate_rejects_reserved_tokens():
     with pytest.raises(ReservedTokenError):
         annotate(tokenize("hello <s1> there"), [])
+
+
+# Reference marker rule: the two-regex code the single pattern replaced,
+# copied verbatim.
+_OPEN_RE = re.compile(r"^<s([1-9][0-9]?)>$")
+_CLOSE_RE = re.compile(r"^</s([1-9][0-9]?)>$")
+
+
+def reference_marker_number(token: str) -> tuple[Optional[int], bool]:
+    """Return (span number, is_close) or (None, False) for a normal token."""
+    m = _OPEN_RE.match(token)
+    if m and int(m.group(1)) <= MAX_SPANS:
+        return int(m.group(1)), False
+    m = _CLOSE_RE.match(token)
+    if m and int(m.group(1)) <= MAX_SPANS:
+        return int(m.group(1)), True
+    return None, False
+
+
+# Tokens as tokenize makes them, so never holding whitespace (the old `$`
+# also matched before a trailing newline): marker look-alikes, the edge
+# cases of the number rule, and arbitrary text.
+_MARKER_LIKE = st.one_of(
+    st.from_regex(r"<(/?)[sS]?[0-9]{0,3}>?", fullmatch=True),
+    st.sampled_from(["<s1>", "</s1>", "<s64>", "</s64>", "<s65>", "</s65>",
+                     "<s0>", "<s01>", "<s99>", "<s100>", "<s1>>", "<<s1>", "s1"]),
+    st.text(min_size=1, max_size=6),
+).filter(lambda tok: tok.split() == [tok])
+
+
+@given(tokens=st.lists(_MARKER_LIKE, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_marker_rule_equals_reference(tokens):
+    reference = [reference_marker_number(tok) for tok in tokens]
+    assert [_marker_number(tok) for tok in tokens] == reference
+    if any(num is not None for num, _ in reference):
+        with pytest.raises(ReservedTokenError):
+            check_no_reserved(tokens)
+    else:
+        check_no_reserved(tokens)
+
+
+def test_only_markers_up_to_max_spans_are_reserved():
+    check_no_reserved(["<s65>", "</s65>", "<s0>", "<s01>", "<S1>", "s1"])
+    for tok in ("<s1>", "</s1>", "<s64>", "</s64>"):
+        with pytest.raises(ReservedTokenError):
+            check_no_reserved(["a", tok, "<s65>"])
 
 
 def test_parse_annotation_round_trip():

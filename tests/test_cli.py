@@ -266,6 +266,41 @@ def test_invalid_utf8_on_stdin_names_line(tmp_path, capsys, monkeypatch):
     assert "<stdin>:3: invalid UTF-8 byte 0xfe" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("run", "--threshold", "1.5"),
+        ("run", "--merge-gap", "-1"),
+        ("sweep", "--thresholds", "abc"),
+        ("sweep", "--thresholds", "5"),
+        ("make-data", "--geometric-p", "0"),
+        ("make-data", "--sampled-ratio", "7"),
+        ("corrupt", "--p-insert", "2"),
+        ("train-esd", "--epochs", "-1"),
+        ("extract", "--merge-gap", "-1"),
+    ],
+)
+def test_bad_option_value_is_usage_error(small_models, tmp_path, capsys, command, option, value):
+    write_lines(tmp_path / "pairs.tsv", ["a b\ta c"])
+    write_lines(tmp_path / "esd.jsonl", ['{"tokens": ["a", "b"], "tags": [0, 1]}'])
+    out = tmp_path / "out"
+    models = ["--esd-model", str(small_models / "esd"), "--esc-model", str(small_models / "esc")]
+    argv = {
+        "run": [str(small_models / "in.txt"), *models, "-o", str(out)],
+        "sweep": [str(tmp_path / "pairs.tsv"), models[0], models[1], "-o", str(out)],
+        "make-data": [str(tmp_path / "pairs.tsv"), "--esd-out", str(out), "--esc-out", str(out)],
+        "corrupt": [str(small_models / "in.txt"), "-o", str(out)],
+        "train-esd": [str(tmp_path / "esd.jsonl"), "--model-out", str(out)],
+        "extract": [str(tmp_path / "pairs.tsv"), "-o", str(out)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, option, value])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_train_esd_deterministic(corpus, tmp_path):
     for name in ("m1", "m2", "m3"):
         assert main(

@@ -1,5 +1,7 @@
 import functools
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 from unittest import mock
 
@@ -256,9 +258,16 @@ _TOKENS = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_feature_ids_and_margins_equal_reference(cap, tokens):
     tagger = _reference_tagger()
+    saved = tagger._token_ids, tagger._bigram_ids
     with mock.patch.object(esd, "_MEMO_CAP", cap):
+        tagger._new_memos()
+    try:
         ids = tagger._feature_ids(tokens)
         margins = tagger.decision_margins(tokens)
+        infos = [tagger._token_ids.cache_info(), tagger._bigram_ids.cache_info()]
+    finally:
+        tagger._token_ids, tagger._bigram_ids = saved
+    assert all(info.maxsize == cap and info.currsize <= cap for info in infos)
     reference = reference_feature_ids(tagger, tokens)
     assert ids.shape == (len(tokens), 16)
     assert ids.tolist() == [row.tolist() for row in reference]
@@ -278,3 +287,38 @@ def test_refit_equals_fresh_fit(tmp_path):
     refit.save(str(tmp_path / "refit.bin"))
     fresh.save(str(tmp_path / "fresh.bin"))
     assert (tmp_path / "refit.bin").read_bytes() == (tmp_path / "fresh.bin").read_bytes()
+
+
+def test_hot_token_survives_a_flood_of_one_off_types(tmp_path):
+    """A token seen between one-off types stays memoised: only the least
+    recently used entry is evicted, never the whole memo."""
+    path = str(tmp_path / "model.esd")
+    train_tagger(make_instances(), epochs=1, seed=0).save(path)
+    stream = [tok for i in range(20) for tok in ("the", f"once{i}")]
+    with mock.patch.object(esd, "_MEMO_CAP", 2):
+        tagger = EsdTagger.load(path)
+        with mock.patch.object(esd, "_count_free_ids", wraps=esd._count_free_ids) as build:
+            tagger.decision_margins(stream)
+    built = [call.args[0] for call in build.call_args_list]
+    assert built.count("the") == 1
+    assert len(built) == 21
+
+
+def test_threads_querying_one_tagger_agree_with_one_thread():
+    sentences = [inst.tokens for inst in make_instances()]
+    sentences += [(f"new{i}", "the", f"new{i + 1}") for i in range(40)]
+    with mock.patch.object(esd, "_MEMO_CAP", 2):
+        tagger = train_tagger(make_instances(), epochs=2, seed=6)
+    expected = [tagger.decision_margins(tokens) for tokens in sentences]
+
+    def margins(_):
+        return [tagger.decision_margins(tokens) for _ in range(10) for tokens in sentences]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(margins, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected * 10] * 4
