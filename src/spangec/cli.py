@@ -182,7 +182,10 @@ def cmd_corrupt(args) -> int:
             vocab = tuple(tok for line in fh for tok in alignment.tokenize(line))
     else:
         vocab = tuple(sorted({tok for sent in sentences for tok in sent}))
-    cfg = datagen.CorruptConfig(**probs, vocab=vocab)
+    try:
+        cfg = datagen.CorruptConfig(**probs, vocab=vocab)
+    except ValueError as exc:  # only the vocabulary is left to reject
+        raise DataError(f"{args.vocab_file or args.input}: {exc}") from exc
     with _open_out(args.output) as fout:
         for index, sent in enumerate(sentences):
             rng = datagen.sentence_rng(args.seed, index)
@@ -198,7 +201,7 @@ def _esd_record(line: str) -> datagen.EsdInstance:
     tokens, tags = record["tokens"], record["tags"]
     if not (isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens)):
         raise DataError("tokens must be a list of strings")
-    if not (isinstance(tags, list) and set(tags) <= {0, 1}):
+    if not isinstance(tags, list):
         raise DataError("tags must be a list of 0s and 1s")
     return datagen.EsdInstance(tokens=tuple(tokens), tags=tuple(tags))
 
@@ -227,6 +230,8 @@ def cmd_train_esd(args) -> int:
         args.parser.error("epochs must be at least 1")
     instances = _read_jsonl(args.input, _esd_record)
     model = esd.train_tagger(instances, epochs=args.epochs, seed=args.seed)
+    for epoch, mistakes in enumerate(model.epoch_mistakes, start=1):
+        log.info("detector epoch %d/%d: %d perceptron mistakes", epoch, args.epochs, mistakes)
     model.save(args.model_out)
     log.info("trained detector on %d instances -> %s", len(instances), args.model_out)
     return 0

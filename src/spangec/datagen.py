@@ -37,6 +37,8 @@ class EsdInstance:
     def __post_init__(self):
         if len(self.tokens) != len(self.tags):
             raise ValueError("tokens and tags must have equal length")
+        if not set(self.tags) <= {0, 1}:
+            raise ValueError("tags must be 0s and 1s")
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,9 @@ _BIN_EDGES = (0, 2, 8)
 # entries, not bytes: both memos full cost about 2.5 MB at word-length tokens,
 # more with very long ones (unbounded, 19 MB on 20k types and 50k bigrams).
 _MEMO_CAP = 4096
+# Tokens the perceptron scores with one gather before it looks for the first
+# mistake among them; chosen by timing train-esd on the benchmark corpora.
+_WINDOW = 48
 
 
 def _bucket(feature: str) -> int:
@@ -149,6 +152,8 @@ class EsdTagger:
         self.seed = seed
         self.weights: np.ndarray | None = None
         self.temperature: float = 1.0
+        # Perceptron mistakes in each epoch of the last fit; not saved.
+        self.epoch_mistakes: list[int] = []
         self._unigram_counts = np.zeros(N_BUCKETS, dtype=np.uint32)
         self._bigram_counts = np.zeros(N_BUCKETS, dtype=np.uint32)
         self._new_memos()
@@ -180,8 +185,10 @@ class EsdTagger:
         count-free ids, the left bigram's bg-= id, the right bigram's bg+= id,
         then the unigram bin and the left, right and joint bigram bins.
 
-        Keep this order: numpy sums 16 values pairwise (element j with j+8),
-        so reordering the row changes margins in the last bit."""
+        Keep this order for inference: numpy sums 16 values pairwise (element
+        j with j+8), so reordering the row changes margins in the last bit.
+        Training does not depend on it, since its scores are exact integers
+        (see `fit`)."""
         padded = (_PAD, *tokens, _PAD)
         bigrams = list(map(self._bigram_ids, padded, padded[1:]))
         pieces: list[bytes] = []
@@ -192,17 +199,28 @@ class EsdTagger:
         return np.frombuffer(b"".join(pieces), dtype="<i8").reshape(len(tokens), 16)
 
     def _count_corpus(self, instances: Sequence[EsdInstance]) -> None:
+        unigram_keys: list[int] = []
+        bigram_keys: list[int] = []
         for inst in instances:
-            toks = inst.tokens
-            prev = _PAD
-            for tok in toks:
-                self._unigram_counts[_unigram_key(tok)] += 1
-                self._bigram_counts[_bigram_key(prev, tok)] += 1
-                prev = tok
-            if toks:
-                self._bigram_counts[_bigram_key(prev, _PAD)] += 1
+            if inst.tokens:
+                padded = (_PAD, *inst.tokens, _PAD)
+                unigram_keys += map(_unigram_key, inst.tokens)
+                bigram_keys += map(_bigram_key, padded, padded[1:])
+        np.add.at(self._unigram_counts, unigram_keys, 1)
+        np.add.at(self._bigram_counts, bigram_keys, 1)
 
     def fit(self, instances: Iterable[EsdInstance]) -> "EsdTagger":
+        """Count the training part, run the averaged perceptron over it, then
+        calibrate the temperature on the last tenth (or all of a corpus under
+        ten instances).
+
+        Each epoch visits the tokens in a shuffled sentence order. It scores a
+        window of upcoming tokens with one gather, skips the correct ones,
+        updates at the first mistake and starts the next window after it.
+        Every decision, update and step count c is still that of a loop that
+        scores one token at a time: w only ever receives +-1 and u +-c, so both
+        hold integers far below 2**53 and every score is exact in any
+        summation order, whichever weights are gathered together."""
         instances = list(instances)
         if not instances:
             raise EmptyCorpusError("no training instances")
@@ -216,26 +234,46 @@ class EsdTagger:
         # Entries memoised so far read the counts this fit replaced.
         self._new_memos()
 
-        feats = [self._feature_ids(inst.tokens) for inst in train]
-        labels = [inst.tags for inst in train]
+        lengths = np.array([len(inst.tokens) for inst in train], dtype=np.int64)
+        starts = np.cumsum(lengths) - lengths
+        total = int(lengths.sum())
+        feats = np.empty((total, 16), dtype=np.int64)
+        tags = np.empty(total, dtype=bool)
+        for inst, start in zip(train, starts.tolist()):
+            feats[start : start + len(inst.tokens)] = self._feature_ids(inst.tokens)
+            tags[start : start + len(inst.tokens)] = inst.tags
 
         w = np.zeros(N_BUCKETS, dtype=np.float64)
         u = np.zeros(N_BUCKETS, dtype=np.float64)
         c = 1
         rng = random.Random(self.seed)
         order = list(range(len(train)))
+        self.epoch_mistakes = []
         for _ in range(self.epochs):
             rng.shuffle(order)
-            for idx in order:
-                for ids, tag in zip(feats[idx], labels[idx]):
-                    score = w[ids].sum()
-                    pred = 1 if score >= 0 else 0
-                    if pred != tag:
-                        y = 1.0 if tag == 1 else -1.0
-                        np.add.at(w, ids, y)
-                        np.add.at(u, ids, c * y)
-                    c += 1
-        self.weights = w - u / c
+            # Row of feats for each token of the epoch, in the shuffled order.
+            run = lengths[order]
+            visit = np.arange(total) + np.repeat(starts[order] - (np.cumsum(run) - run), run)
+            mistakes = 0
+            k = 0
+            while k < total:
+                win = visit[k : k + _WINDOW]
+                rows = feats[win]
+                wrong = np.flatnonzero((w[rows].sum(axis=1) >= 0) != tags[win])
+                step = len(win)
+                if len(wrong):
+                    j = int(wrong[0])
+                    y = 1.0 if tags[win[j]] else -1.0
+                    np.add.at(w, rows[j], y)
+                    np.add.at(u, rows[j], (c + j) * y)
+                    mistakes += 1
+                    step = j + 1
+                k += step
+                c += step
+            self.epoch_mistakes.append(mistakes)
+        u /= c
+        w -= u
+        self.weights = w
         self.temperature = self._fit_temperature(calib)
         return self
 

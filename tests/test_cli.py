@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import struct
 
@@ -131,6 +132,38 @@ def test_corrupt_zero_probabilities_identity(tmp_path):
     for line in (tmp_path / "p.tsv").read_text().splitlines():
         src, tgt = line.split("\t")
         assert src == tgt
+
+
+@pytest.mark.parametrize("option", ["--p-insert", "--p-replace"])
+@pytest.mark.parametrize("vocab_from", ["input", "vocab-file"])
+def test_corrupt_with_an_empty_vocabulary_is_data_error(tmp_path, capsys, option, vocab_from):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    write_lines(tmp_path / "clean.txt", ["a b c"])
+    out = tmp_path / "out.tsv"
+    if vocab_from == "input":
+        argv = [str(empty)]
+    else:
+        argv = [str(tmp_path / "clean.txt"), "--vocab-file", str(empty)]
+    assert main(["corrupt", *argv, option, "0.1", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"spangec: data error: {empty}: " in err and "non-empty vocab" in err
+    assert not out.exists()
+
+
+def test_train_esd_logs_the_mistakes_of_each_epoch(corpus, tmp_path, caplog):
+    with caplog.at_level(logging.INFO, logger="spangec"):
+        argv = ["train-esd", str(corpus / "esd.jsonl"), "--model-out", str(tmp_path / "m")]
+        assert main(argv + ["--epochs", "3", "--seed", "2"]) == 0
+    records = [json.loads(line) for line in (corpus / "esd.jsonl").read_text().splitlines()]
+    tagger = train_tagger(
+        [EsdInstance(tuple(r["tokens"]), tuple(r["tags"])) for r in records], epochs=3, seed=2
+    )
+    logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("detector")]
+    assert logged == [
+        f"detector epoch {epoch}/3: {n} perceptron mistakes"
+        for epoch, n in enumerate(tagger.epoch_mistakes, start=1)
+    ]
 
 
 def test_corrupt_deterministic(tmp_path):

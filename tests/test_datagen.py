@@ -15,6 +15,7 @@ from spangec.alignment import (
 from spangec.annotation import merge_corrections
 from spangec.datagen import (
     CorruptConfig,
+    EsdInstance,
     SpanSampleConfig,
     corrupt,
     make_esc_from_spans,
@@ -240,6 +241,12 @@ def test_corrupt_pairs_align_and_reconstruct(sent, seed):
     assert any(inst.tags) == (noisy != sent)
     spans = extract_edits(align(noisy, sent))
     assert apply_spans(noisy, spans) == sent
+
+
+@pytest.mark.parametrize("tokens, tags", [(("a",), (2,)), (("a", "b"), (0, -1)), (("a",), (0, 1))])
+def test_esd_instance_rejects_bad_tags(tokens, tags):
+    with pytest.raises(ValueError):
+        EsdInstance(tokens, tags)
 
 
 def test_config_validation():

@@ -4,6 +4,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 from unittest import mock
+from zlib import crc32
 
 import numpy as np
 import pytest
@@ -322,3 +323,109 @@ def test_threads_querying_one_tagger_agree_with_one_thread():
     finally:
         sys.setswitchinterval(interval)
     assert results == [expected * 10] * 4
+
+
+# Reference training: the per-token perceptron loop and counting the windowed
+# ones replaced, copied verbatim. The windowed fit must equal it exactly.
+def reference_count_corpus(self, instances: Sequence[EsdInstance]) -> None:
+    for inst in instances:
+        toks = inst.tokens
+        prev = _PAD
+        for tok in toks:
+            self._unigram_counts[_unigram_key(tok)] += 1
+            self._bigram_counts[_bigram_key(prev, tok)] += 1
+            prev = tok
+        if toks:
+            self._bigram_counts[_bigram_key(prev, _PAD)] += 1
+
+
+def reference_fit(self, instances) -> "EsdTagger":
+    instances = list(instances)
+    if not instances:
+        raise EmptyCorpusError("no training instances")
+    n_cal = len(instances) // 10 if len(instances) >= 10 else 0
+    train = instances[: len(instances) - n_cal] if n_cal else instances
+    calib = instances[len(instances) - n_cal :] if n_cal else instances
+
+    self._unigram_counts = np.zeros(esd.N_BUCKETS, dtype=np.uint32)
+    self._bigram_counts = np.zeros(esd.N_BUCKETS, dtype=np.uint32)
+    reference_count_corpus(self, train)
+    # Entries memoised so far read the counts this fit replaced.
+    self._new_memos()
+
+    feats = [self._feature_ids(inst.tokens) for inst in train]
+    labels = [inst.tags for inst in train]
+
+    w = np.zeros(esd.N_BUCKETS, dtype=np.float64)
+    u = np.zeros(esd.N_BUCKETS, dtype=np.float64)
+    c = 1
+    rng = random.Random(self.seed)
+    order = list(range(len(train)))
+    for _ in range(self.epochs):
+        rng.shuffle(order)
+        for idx in order:
+            for ids, tag in zip(feats[idx], labels[idx]):
+                score = w[ids].sum()
+                pred = 1 if score >= 0 else 0
+                if pred != tag:
+                    y = 1.0 if tag == 1 else -1.0
+                    np.add.at(w, ids, y)
+                    np.add.at(u, ids, c * y)
+                c += 1
+    self.weights = w - u / c
+    self.temperature = self._fit_temperature(calib)
+    return self
+
+
+_TRAIN_POOL = ["the", "teh", "cat", "dog", "sat", "Ran", "a1", "é", "x-y"]
+_CORPORA = st.lists(
+    st.lists(st.tuples(st.sampled_from(_TRAIN_POOL), st.integers(0, 1)), max_size=9).map(
+        lambda pairs: EsdInstance(tuple(t for t, _ in pairs), tuple(g for _, g in pairs))
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _tiny_bucket(feature: str) -> int:
+    """Five buckets: every row repeats ids, as the update must count."""
+    return crc32(feature.encode("utf-8")) % 5
+
+
+@pytest.mark.parametrize(
+    "window, bucket", [(esd._WINDOW, esd._bucket), (1, esd._bucket), (2, esd._bucket),
+                       (esd._WINDOW, _tiny_bucket), (2, _tiny_bucket)]
+)
+@given(corpus=_CORPORA, epochs=st.integers(1, 3), seed=st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_fit_equals_per_token_reference(tmp_path_factory, window, bucket, corpus, epochs, seed):
+    root = tmp_path_factory.mktemp("fit")
+    paths = root / "fast.esd", root / "reference.esd"
+    with mock.patch.object(esd, "_WINDOW", window), mock.patch.object(esd, "_bucket", bucket):
+        fast = EsdTagger(epochs=epochs, seed=seed).fit(corpus)
+        reference = reference_fit(EsdTagger(epochs=epochs, seed=seed), corpus)
+    fast.save(str(paths[0]))
+    reference.save(str(paths[1]))
+    assert (fast.weights == reference.weights).all()
+    assert (fast._unigram_counts == reference._unigram_counts).all()
+    assert (fast._bigram_counts == reference._bigram_counts).all()
+    assert fast.temperature == reference.temperature
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_fit_on_sentences_without_tokens_saves_a_model(tmp_path):
+    path = str(tmp_path / "empty.esd")
+    train_tagger([EsdInstance((), ())] * 12, epochs=2, seed=0).save(path)
+    model = EsdTagger.load(path)
+    assert not model.weights.any()
+    assert model.predict_probs(()) == []
+    assert len(model.predict_probs(("a", "b"))) == 2
+
+
+def test_epoch_mistakes_count_each_epoch_of_the_last_fit(tmp_path):
+    model = train_tagger(make_instances(), epochs=3, seed=1)
+    assert len(model.epoch_mistakes) == 3 and model.epoch_mistakes[0] > 0
+    model.fit(make_instances()[:5])
+    assert len(model.epoch_mistakes) == 3
+    model.save(str(tmp_path / "m.esd"))
+    assert EsdTagger.load(str(tmp_path / "m.esd")).epoch_mistakes == []
