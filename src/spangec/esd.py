@@ -8,8 +8,11 @@ its adjacent bigrams (counted over the training sources and stored with the
 model), which is what lets a linear model flag novel token juxtapositions it
 has never seen verbatim. It is a deliberately small, deterministic stand-in
 for a fine-tuned encoder: the estimator interface (fit / predict_probs) is
-the seam where a stronger model plugs in. Feature ids are memoised per
-distinct token and bigram in two LRU caches, so a repeat is hashed once.
+the seam where a stronger model plugs in. Each distinct token and bigram is
+hashed once: `fit` hashes a corpus's types into transient tables and frees
+them when it returns, and queries memoise feature ids in two capped LRU
+caches. Both give the same rows. A literal "<pad>" token shares the
+sentence-boundary bigram features; changing that needs a new template version.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import os
 import random
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 from zlib import crc32
 
@@ -56,6 +60,8 @@ _MEMO_CAP = 4096
 # Tokens the perceptron scores with one gather before it looks for the first
 # mistake among them; chosen by timing train-esd on the benchmark corpora.
 _WINDOW = 48
+# Distinct bigrams `fit` hashes per batch: bounds its transient strings.
+_HASH_CHUNK = 4096
 
 
 def _bucket(feature: str) -> int:
@@ -68,6 +74,11 @@ def _count_bin(count: int) -> int:
         if count <= edge:
             return b
     return len(_BIN_EDGES)
+
+
+def _count_bins(counts: np.ndarray) -> np.ndarray:
+    """`_count_bin` of each count."""
+    return np.searchsorted(_BIN_EDGES, counts)
 
 
 def token_shape(tok: str) -> str:
@@ -113,14 +124,19 @@ _BIGRAM_BIN_IDS = tuple(
     )
     for bl in range(_N_BINS)
 )
+# The same ids as arrays, indexed by bin, for `EsdTagger._corpus_rows`.
+_UNIGRAM_BIN_TABLE = np.frombuffer(b"".join(_UNIGRAM_BIN_IDS), dtype="<i8")
+_BIGRAM_BIN_TABLE = np.frombuffer(
+    b"".join(chain.from_iterable(_BIGRAM_BIN_IDS)), dtype="<i8"
+).reshape(_N_BINS, _N_BINS, 3)
 
 
-def _count_free_ids(tok: str) -> bytes:
-    """Packed buckets of a token's ten count-free features: bias, identity,
-    casing, shape and affixes. Context enters only through bigrams (identity
-    and frequency bins, see `EsdTagger._feature_ids`): raw neighbour-identity
-    features measurably hurt generalisation by memorising training noise."""
-    features = (
+def _count_free_features(tok: str) -> tuple[str, ...]:
+    """A token's ten count-free features: bias, identity, casing, shape and
+    affixes. Context enters only through bigrams (identity and frequency
+    bins, see `EsdTagger._feature_ids`): raw neighbour-identity features
+    measurably hurt generalisation by memorising training noise."""
+    return (
         "b=",
         "w=" + tok,
         "lw=" + tok.lower(),
@@ -132,7 +148,11 @@ def _count_free_ids(tok: str) -> bytes:
         "s2=" + tok[-2:],
         "s3=" + tok[-3:],
     )
-    return _packed(*(_bucket(f) for f in features))
+
+
+def _count_free_ids(tok: str) -> bytes:
+    """Packed buckets of a token's ten count-free features."""
+    return _packed(*map(_bucket, _count_free_features(tok)))
 
 
 class EsdTagger:
@@ -185,10 +205,10 @@ class EsdTagger:
         count-free ids, the left bigram's bg-= id, the right bigram's bg+= id,
         then the unigram bin and the left, right and joint bigram bins.
 
-        Keep this order for inference: numpy sums 16 values pairwise (element
-        j with j+8), so reordering the row changes margins in the last bit.
-        Training does not depend on it, since its scores are exact integers
-        (see `fit`)."""
+        Keep this order, here and in `_corpus_rows`: numpy sums 16 values
+        pairwise (element j with j+8), so reordering the row changes margins,
+        and calibration's, in the last bit. The perceptron does not depend on
+        it, since its scores are exact integers (see `fit`)."""
         padded = (_PAD, *tokens, _PAD)
         bigrams = list(map(self._bigram_ids, padded, padded[1:]))
         pieces: list[bytes] = []
@@ -198,21 +218,74 @@ class EsdTagger:
             pieces += (count_free, bg_minus, bg_plus, uf, _BIGRAM_BIN_IDS[bl][br])
         return np.frombuffer(b"".join(pieces), dtype="<i8").reshape(len(tokens), 16)
 
-    def _count_corpus(self, instances: Sequence[EsdInstance]) -> None:
-        unigram_keys: list[int] = []
-        bigram_keys: list[int] = []
-        for inst in instances:
-            if inst.tokens:
-                padded = (_PAD, *inst.tokens, _PAD)
-                unigram_keys += map(_unigram_key, inst.tokens)
-                bigram_keys += map(_bigram_key, padded, padded[1:])
-        np.add.at(self._unigram_counts, unigram_keys, 1)
-        np.add.at(self._bigram_counts, bigram_keys, 1)
+    def _corpus_rows(self, sentences: Sequence[Sequence[str]], count: bool) -> np.ndarray:
+        """The `_feature_ids` rows of every sentence, stacked, as int32: each
+        distinct token and bigram is hashed once, and the rows are gathered
+        from those per-type tables. With count, the corpus's tokens and
+        bigrams are first added to the count tables that the bins read."""
+        index = {tok: i for i, tok in enumerate(dict.fromkeys(chain.from_iterable(sentences)))}
+        # Type ids; the boundary gets its own id after every token's, so a
+        # literal _PAD token keeps its own counts but hashes to the same bigrams.
+        names = [*index, _PAD]
+        boundary = len(index)
+        codes = np.fromiter(
+            map(index.__getitem__, chain.from_iterable(sentences)),
+            np.int64,
+            sum(map(len, sentences)),
+        )
+        lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+        lengths = lengths[lengths > 0]
+        # Nonempty sentences in a row between boundaries: the left bigram of
+        # token i of the k-th of them is number i + k, its right one i + k + 1.
+        left = np.arange(len(codes)) + np.repeat(np.arange(len(lengths)), lengths)
+        padded = np.full(len(codes) + len(lengths) + 1, boundary, np.int64)
+        padded[left + 1] = codes
+        pairs, bigram = np.unique(padded[:-1] * len(names) + padded[1:], return_inverse=True)
+
+        free = np.fromiter(
+            map(_bucket, chain.from_iterable(map(_count_free_features, names[:-1]))),
+            np.int32,
+            10 * boundary,
+        ).reshape(boundary, 10)
+        unigram_keys = np.fromiter(map(_unigram_key, names[:-1]), np.int32, boundary)
+        # Each distinct bigram's b= (count), bg-= and bg+= ids, hashed in
+        # chunks so that no corpus-sized list of strings is ever held.
+        bigram_ids = np.empty((len(pairs), 3), np.int32)
+        for lo in range(0, len(pairs), _HASH_CHUNK):
+            a, b = np.divmod(pairs[lo : lo + _HASH_CHUNK], len(names))
+            joined = [names[i] + _SEP + names[j] for i, j in zip(a.tolist(), b.tolist())]
+            features = (key + j for j in joined for key in ("b=", "bg-=", "bg+="))
+            bigram_ids[lo : lo + len(joined)] = np.fromiter(
+                map(_bucket, features), np.int32, 3 * len(joined)
+            ).reshape(-1, 3)
+        if count:
+            occurrences = np.bincount(codes, minlength=boundary).astype(np.uint32)
+            np.add.at(self._unigram_counts, unigram_keys, occurrences)
+            occurrences = np.bincount(bigram, minlength=len(pairs)).astype(np.uint32)
+            np.add.at(self._bigram_counts, bigram_ids[:, 0], occurrences)
+        unigram_bins = _count_bins(self._unigram_counts[unigram_keys])
+        bigram_bins = _count_bins(self._bigram_counts[bigram_ids[:, 0]])
+
+        rows = np.empty((len(codes), 16), np.int32)
+        rows[:, :10] = free[codes]
+        right = bigram[left + 1]
+        left = bigram[left]
+        rows[:, 10] = bigram_ids[left, 1]
+        rows[:, 11] = bigram_ids[right, 2]
+        rows[:, 12] = _UNIGRAM_BIN_TABLE[unigram_bins[codes]]
+        rows[:, 13:] = _BIGRAM_BIN_TABLE[bigram_bins[left], bigram_bins[right]]
+        return rows
 
     def fit(self, instances: Iterable[EsdInstance]) -> "EsdTagger":
         """Count the training part, run the averaged perceptron over it, then
         calibrate the temperature on the last tenth (or all of a corpus under
         ten instances).
+
+        Training hashes each distinct token and bigram of the corpus once,
+        into transient per-type tables that `fit` frees when it returns
+        (`_corpus_rows`); inference keeps its capped LRU memos instead. Both
+        give the same rows. Calibration scores the held-out tenth the same
+        way, against the counts just fitted.
 
         Each epoch visits the tokens in a shuffled sentence order. It scores a
         window of upcoming tokens with one gather, skips the correct ones,
@@ -228,20 +301,16 @@ class EsdTagger:
         train = instances[: len(instances) - n_cal] if n_cal else instances
         calib = instances[len(instances) - n_cal :] if n_cal else instances
 
-        self._unigram_counts = np.zeros(N_BUCKETS, dtype=np.uint32)
-        self._bigram_counts = np.zeros(N_BUCKETS, dtype=np.uint32)
-        self._count_corpus(train)
+        self._unigram_counts.fill(0)
+        self._bigram_counts.fill(0)
+        feats = self._corpus_rows([inst.tokens for inst in train], count=True)
         # Entries memoised so far read the counts this fit replaced.
         self._new_memos()
 
         lengths = np.array([len(inst.tokens) for inst in train], dtype=np.int64)
         starts = np.cumsum(lengths) - lengths
-        total = int(lengths.sum())
-        feats = np.empty((total, 16), dtype=np.int64)
-        tags = np.empty(total, dtype=bool)
-        for inst, start in zip(train, starts.tolist()):
-            feats[start : start + len(inst.tokens)] = self._feature_ids(inst.tokens)
-            tags[start : start + len(inst.tokens)] = inst.tags
+        total = len(feats)
+        tags = np.fromiter(chain.from_iterable(inst.tags for inst in train), bool, total)
 
         w = np.zeros(N_BUCKETS, dtype=np.float64)
         u = np.zeros(N_BUCKETS, dtype=np.float64)
@@ -274,25 +343,11 @@ class EsdTagger:
         u /= c
         w -= u
         self.weights = w
-        self.temperature = self._fit_temperature(calib)
+        if n_cal:
+            feats = self._corpus_rows([inst.tokens for inst in calib], count=False)
+        margins = self.weights[feats].sum(axis=1).tolist()
+        self.temperature = _fit_temperature(margins, [t for inst in calib for t in inst.tags])
         return self
-
-    def _fit_temperature(self, instances: Sequence[EsdInstance]) -> float:
-        margins: list[float] = []
-        tags: list[int] = []
-        for inst in instances:
-            margins.extend(self.decision_margins(inst.tokens))
-            tags.extend(inst.tags)
-        best_t, best_nll = 1.0, math.inf
-        for t in _TEMPERATURE_GRID:
-            nll = 0.0
-            for m, tag in zip(margins, tags):
-                p = _sigmoid(m / t)
-                p = min(max(p, 1e-12), 1 - 1e-12)
-                nll -= math.log(p) if tag == 1 else math.log(1 - p)
-            if nll < best_nll:
-                best_t, best_nll = t, nll
-        return best_t
 
     def decision_margins(self, tokens: Sequence[str]) -> list[float]:
         if self.weights is None:
@@ -362,6 +417,20 @@ class EsdTagger:
             if fh.read(1):
                 raise ModelFormatError("trailing bytes after the last model record")
         return model
+
+
+def _fit_temperature(margins: list[float], tags: list[int]) -> float:
+    """The grid temperature with the least log loss of the tags."""
+    best_t, best_nll = 1.0, math.inf
+    for t in _TEMPERATURE_GRID:
+        nll = 0.0
+        for m, tag in zip(margins, tags):
+            p = _sigmoid(m / t)
+            p = min(max(p, 1e-12), 1 - 1e-12)
+            nll -= math.log(p) if tag == 1 else math.log(1 - p)
+        if nll < best_nll:
+            best_t, best_nll = t, nll
+    return best_t
 
 
 def _sigmoid(x: float) -> float:

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -24,6 +25,7 @@ from spangec.esd import (
     _bigram_key,
     _bucket,
     _count_bin,
+    _count_bins,
     _unigram_key,
     decode_spans,
     token_shape,
@@ -325,8 +327,9 @@ def test_threads_querying_one_tagger_agree_with_one_thread():
     assert results == [expected * 10] * 4
 
 
-# Reference training: the per-token perceptron loop and counting the windowed
-# ones replaced, copied verbatim. The windowed fit must equal it exactly.
+# Reference training: the per-token perceptron loop, the per-occurrence
+# counting and the per-sentence calibration that the windowed loop and the
+# per-type tables replaced, copied verbatim. The fit must equal it exactly.
 def reference_count_corpus(self, instances: Sequence[EsdInstance]) -> None:
     for inst in instances:
         toks = inst.tokens
@@ -373,11 +376,29 @@ def reference_fit(self, instances) -> "EsdTagger":
                     np.add.at(u, ids, c * y)
                 c += 1
     self.weights = w - u / c
-    self.temperature = self._fit_temperature(calib)
+    self.temperature = reference_fit_temperature(self, calib)
     return self
 
 
-_TRAIN_POOL = ["the", "teh", "cat", "dog", "sat", "Ran", "a1", "é", "x-y"]
+def reference_fit_temperature(self, instances: Sequence[EsdInstance]) -> float:
+    margins: list[float] = []
+    tags: list[int] = []
+    for inst in instances:
+        margins.extend(self.decision_margins(inst.tokens))
+        tags.extend(inst.tags)
+    best_t, best_nll = 1.0, math.inf
+    for t in esd._TEMPERATURE_GRID:
+        nll = 0.0
+        for m, tag in zip(margins, tags):
+            p = esd._sigmoid(m / t)
+            p = min(max(p, 1e-12), 1 - 1e-12)
+            nll -= math.log(p) if tag == 1 else math.log(1 - p)
+        if nll < best_nll:
+            best_t, best_nll = t, nll
+    return best_t
+
+
+_TRAIN_POOL = ["the", "teh", "cat", "dog", "sat", "Ran", "a1", "é", "x-y", _PAD]
 _CORPORA = st.lists(
     st.lists(st.tuples(st.sampled_from(_TRAIN_POOL), st.integers(0, 1)), max_size=9).map(
         lambda pairs: EsdInstance(tuple(t for t, _ in pairs), tuple(g for _, g in pairs))
@@ -429,3 +450,48 @@ def test_epoch_mistakes_count_each_epoch_of_the_last_fit(tmp_path):
     assert len(model.epoch_mistakes) == 3
     model.save(str(tmp_path / "m.esd"))
     assert EsdTagger.load(str(tmp_path / "m.esd")).epoch_mistakes == []
+
+
+_PROBES = st.lists(
+    st.lists(
+        st.one_of(
+            st.sampled_from(_TRAIN_POOL + ["new", "中文"]),
+            st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4),
+        ),
+        max_size=9,
+    ),
+    max_size=8,
+)
+
+
+@pytest.mark.parametrize("bucket", [esd._bucket, _tiny_bucket])
+@given(corpus=_CORPORA, probes=_PROBES)
+@settings(max_examples=80, deadline=None)
+def test_corpus_rows_equal_inference_rows(bucket, corpus, probes):
+    """Training's per-type tables give the rows and counts of the memoised
+    per-sentence path, also when distinct types share buckets."""
+    sentences = [inst.tokens for inst in corpus] + probes
+    with mock.patch.object(esd, "_bucket", bucket):
+        counted = EsdTagger()
+        counted_rows = counted._corpus_rows(sentences, count=True)
+        reference = EsdTagger()
+        reference_count_corpus(reference, [EsdInstance(tuple(s), (0,) * len(s)) for s in sentences])
+        fitted = EsdTagger(epochs=1, seed=0).fit(corpus)
+        counts = fitted._unigram_counts.copy(), fitted._bigram_counts.copy()
+        rows = fitted._corpus_rows(sentences, count=False)
+        expected = [
+            np.vstack([np.empty((0, 16), np.int64), *map(tagger._feature_ids, sentences)])
+            for tagger in (counted, fitted)
+        ]
+    assert (counted._unigram_counts == reference._unigram_counts).all()
+    assert (counted._bigram_counts == reference._bigram_counts).all()
+    assert (fitted._unigram_counts == counts[0]).all()
+    assert (fitted._bigram_counts == counts[1]).all()
+    assert counted_rows.dtype == rows.dtype == np.int32
+    assert counted_rows.tolist() == expected[0].tolist()
+    assert rows.tolist() == expected[1].tolist()
+
+
+def test_count_bins_equal_count_bin():
+    counts = np.arange(21, dtype=np.uint32)
+    assert _count_bins(counts).tolist() == [_count_bin(c) for c in range(21)]
