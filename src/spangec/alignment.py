@@ -3,6 +3,13 @@
 Sentences are plain tuples of token strings. Alignment uses unit costs for
 substitution, insertion and deletion (0 for a match), with a fixed backtrace
 preference so the returned path is canonical across runs and platforms.
+
+The DP fills only a band of diagonals around the ones joining the two
+corners (Ukkonen 1985). A cell on an optimal path of cost D lies within
+(D - |m - n|) / 2 diagonals of that range, so a second pass sized from the
+first pass's cost holds every optimal path, and two passes always suffice.
+Band values equal full-grid values on optimal paths and are no lower
+elsewhere, so the backtrace picks the same path as over the full grid.
 """
 
 from __future__ import annotations
@@ -87,32 +94,55 @@ def validate_spans(spans: Sequence[EditSpan], source_len: int) -> None:
         prev_end = span.src_end
 
 
-def align(source: Sequence[str], target: Sequence[str]) -> AlignmentPath:
-    """Minimal-cost token alignment under unit edit costs.
+# Diagonals beyond the corner-to-corner range that the first pass fills.
+_START_SLACK = 2
 
-    The backtrace prefers DELETE over INSERT over SUBST over MATCH at equal
-    cost, walking backward from the end, which makes the path deterministic.
-    """
-    src = tuple(source)
-    tgt = tuple(target)
+
+def _band_dist(src: TokenSeq, tgt: TokenSeq, slack: int) -> list[list[int]]:
+    """Edit distances from (0, 0) over the cells whose diagonal j - i lies in
+    [min(0, m - n) - slack, max(0, m - n) + slack]; other cells read n + m + 1."""
     n, m = len(src), len(tgt)
-
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dist[i][0] = i
-    for j in range(1, m + 1):
-        dist[0][j] = j
+    lo = min(0, m - n) - slack
+    hi = max(0, m - n) + slack
+    dist = [[n + m + 1] * (m + 1) for _ in range(n + 1)]
+    row = dist[0]
+    for j in range(min(m, hi) + 1):
+        row[j] = j
     for i in range(1, n + 1):
         row = dist[i]
         prev = dist[i - 1]
         s_tok = src[i - 1]
-        for j in range(1, m + 1):
+        j0 = i + lo
+        if j0 <= 0:
+            row[0] = i
+            j0 = 1
+        for j in range(j0, min(m, i + hi) + 1):
             sub = prev[j - 1] + (0 if s_tok == tgt[j - 1] else 1)
             dele = prev[j] + 1
             ins = row[j - 1] + 1
             row[j] = sub if sub <= dele else dele
             if ins < row[j]:
                 row[j] = ins
+    return dist
+
+
+def align(source: Sequence[str], target: Sequence[str]) -> AlignmentPath:
+    """Minimal-cost token alignment under unit edit costs.
+
+    The backtrace prefers DELETE over INSERT over SUBST over MATCH at equal
+    cost, walking backward from the end, which makes the path deterministic.
+    The first pass fills _START_SLACK diagonals beyond the corner-to-corner
+    range. Its cost U bounds the optimal cost, so if U exceeds
+    |m - n| + 2 * _START_SLACK, a second pass with ceil((U - |m - n|) / 2)
+    diagonals of slack holds every optimal path.
+    """
+    src = tuple(source)
+    tgt = tuple(target)
+    n, m = len(src), len(tgt)
+    diff = abs(m - n)
+    dist = _band_dist(src, tgt, _START_SLACK)
+    if dist[n][m] > diff + 2 * _START_SLACK:
+        dist = _band_dist(src, tgt, (dist[n][m] - diff + 1) // 2)
 
     ops: list[AlignOp] = []
     i, j = n, m

@@ -149,16 +149,18 @@ def cmd_make_data(args) -> int:
         esc_out = stack.enter_context(_open_out(args.esc_out))
         for lineno, source, target in read_parallel_tsv(fin):
             try:
-                # One alignment serves the detector and the corrector instance.
+                # One alignment and one set of gold spans serve the detector
+                # and the corrector instance.
                 path = alignment.align(source, target)
-                inst = datagen.make_esd_instance(path)
+                spans = alignment.extract_edits(path)
+                inst = datagen.make_esd_instance(path, spans)
                 record = {"tokens": list(inst.tokens), "tags": list(inst.tags)}
                 esd_out.write(json.dumps(record, ensure_ascii=False) + "\n")
                 rng = datagen.sentence_rng(args.seed, lineno)
                 if source and rng.random() < args.sampled_ratio:
                     esc_inst = datagen.make_esc_sampled(path, cfg, rng)
                 else:
-                    esc_inst = datagen.make_esc_gold(path)
+                    esc_inst = datagen.make_esc_gold(path, spans)
                 esc_out.write(
                     annotation.to_json_record(esc_inst.annotated, esc_inst.correction)
                     + "\n"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .alignment import (
     AlignmentPath,
@@ -88,10 +88,13 @@ class CorruptConfig:
             raise ValueError("insert/replace corruption needs a non-empty vocab")
 
 
-def make_esd_instance(path: AlignmentPath) -> EsdInstance:
-    """Tag source tokens: 1 inside any gold edit span, 0 elsewhere."""
+def make_esd_instance(
+    path: AlignmentPath, spans: Optional[Sequence[EditSpan]] = None
+) -> EsdInstance:
+    """Tag source tokens: 1 inside any gold edit span, 0 elsewhere. spans,
+    when given, must be extract_edits(path)."""
     tags = [0] * len(path.source)
-    for span in extract_edits(path):
+    for span in extract_edits(path) if spans is None else spans:
         for i in range(span.src_start, span.src_end):
             tags[i] = 1
     return EsdInstance(tokens=path.source, tags=tuple(tags))
@@ -104,9 +107,12 @@ def make_esc_from_spans(path: AlignmentPath, spans: Sequence[EditSpan]) -> EscIn
     return EscInstance(annotated=annotated, correction=CorrectionOutput(segments))
 
 
-def make_esc_gold(path: AlignmentPath) -> EscInstance:
-    """Corrector instance over the gold edit spans."""
-    return make_esc_from_spans(path, extract_edits(path))
+def make_esc_gold(
+    path: AlignmentPath, spans: Optional[Sequence[EditSpan]] = None
+) -> EscInstance:
+    """Corrector instance over the gold edit spans; spans, when given, must
+    be extract_edits(path)."""
+    return make_esc_from_spans(path, extract_edits(path) if spans is None else spans)
 
 
 def sample_spans(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spangec import alignment
 from spangec.alignment import (
     DELETE,
     INSERT,
@@ -308,3 +309,136 @@ def test_extract_and_project_match_reference(src, tgt, data):
     for some in (spans, sampled):
         expected = [reference_project_replacement(path, span) for span in some]
         assert project_spans(path, some) == expected
+
+
+# The full-grid DP as first written, kept as the oracle for the banded align.
+def reference_align(source, target) -> AlignmentPath:
+    """Minimal-cost token alignment under unit edit costs.
+
+    The backtrace prefers DELETE over INSERT over SUBST over MATCH at equal
+    cost, walking backward from the end, which makes the path deterministic.
+    """
+    src = tuple(source)
+    tgt = tuple(target)
+    n, m = len(src), len(tgt)
+
+    dist = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        dist[i][0] = i
+    for j in range(1, m + 1):
+        dist[0][j] = j
+    for i in range(1, n + 1):
+        row = dist[i]
+        prev = dist[i - 1]
+        s_tok = src[i - 1]
+        for j in range(1, m + 1):
+            sub = prev[j - 1] + (0 if s_tok == tgt[j - 1] else 1)
+            dele = prev[j] + 1
+            ins = row[j - 1] + 1
+            row[j] = sub if sub <= dele else dele
+            if ins < row[j]:
+                row[j] = ins
+
+    ops: list[AlignOp] = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        here = dist[i][j]
+        if i > 0 and dist[i - 1][j] + 1 == here:
+            i -= 1
+            ops.append(AlignOp(DELETE, src_index=i))
+        elif j > 0 and dist[i][j - 1] + 1 == here:
+            j -= 1
+            ops.append(AlignOp(INSERT, tgt_index=j))
+        elif i > 0 and j > 0 and src[i - 1] != tgt[j - 1]:
+            i -= 1
+            j -= 1
+            ops.append(AlignOp(SUBST, src_index=i, tgt_index=j))
+        else:
+            i -= 1
+            j -= 1
+            ops.append(AlignOp(MATCH, src_index=i, tgt_index=j))
+    ops.reverse()
+    return AlignmentPath(source=src, target=tgt, ops=tuple(ops), cost=dist[n][m])
+
+
+def assert_align_matches_reference(src, tgt, start_slack):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(alignment, "_START_SLACK", start_slack)
+        path = align(src, tgt)
+    expected = reference_align(src, tgt)
+    assert path.ops == expected.ops
+    assert path.cost == expected.cost
+
+
+# Start slack 2 is the shipped one; 0 and 1 send more pairs to the second pass.
+START_SLACKS = [2, 0, 1]
+
+# Few letters make many equal-cost paths, so the backtrace's tie-breaking
+# runs through cells at the band's edge.
+_tiny_alphabets = st.sampled_from([("a", "b"), ("a", "b", "c")])
+_short_pairs = _tiny_alphabets.flatmap(
+    lambda abc: st.tuples(
+        st.lists(st.sampled_from(abc), max_size=8),
+        st.lists(st.sampled_from(abc), max_size=8),
+    )
+)
+
+
+@pytest.mark.parametrize("start_slack", START_SLACKS)
+@given(_short_pairs)
+@settings(max_examples=300, deadline=None)
+def test_banded_align_equals_full_grid_on_short_pairs(start_slack, pair):
+    assert_align_matches_reference(*pair, start_slack)
+
+
+_WORDS = [f"w{k}" for k in range(12)]
+# An edit: its kind, where it lands (0.0 and 1.0 are the two ends) and the
+# token it puts in.
+_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "delete", "subst"]),
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        st.sampled_from(_WORDS + ["new"]),
+    ),
+    max_size=6,
+)
+
+
+@st.composite
+def _edited_sentences(draw):
+    src = draw(st.lists(st.sampled_from(_WORDS), min_size=30, max_size=60))
+    tgt = list(src)
+    for kind, where, token in draw(_edits):
+        if kind == "insert":
+            tgt.insert(round(where * len(tgt)), token)
+        elif tgt:
+            k = min(round(where * len(tgt)), len(tgt) - 1)
+            if kind == "delete":
+                del tgt[k]
+            else:
+                tgt[k] = token
+    return src, tgt
+
+
+@pytest.mark.parametrize("start_slack", START_SLACKS)
+@given(_edited_sentences())
+@settings(max_examples=100, deadline=None)
+def test_banded_align_equals_full_grid_on_edited_sentences(start_slack, pair):
+    assert_align_matches_reference(*pair, start_slack)
+
+
+# Disjoint vocabularies: the cost is the longer length, which exceeds the
+# first band's reach once the shorter side has five tokens.
+_unrelated_pairs = st.tuples(
+    st.lists(st.sampled_from(["a", "b", "c"]), min_size=5, max_size=40),
+    st.lists(st.sampled_from(["x", "y", "z"]), min_size=5, max_size=40),
+)
+
+
+@pytest.mark.parametrize("start_slack", START_SLACKS)
+@given(_unrelated_pairs)
+@settings(max_examples=100, deadline=None)
+def test_banded_align_equals_full_grid_on_unrelated_pairs(start_slack, pair):
+    src, tgt = pair
+    assert max(len(src), len(tgt)) > abs(len(src) - len(tgt)) + 2 * start_slack
+    assert_align_matches_reference(src, tgt, start_slack)

@@ -2,13 +2,14 @@ import json
 import logging
 import math
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthlang
-from spangec.alignment import align, detokenize, tokenize
+from spangec.alignment import align, detokenize, extract_edits, tokenize
 from spangec.annotation import parse_annotation
 from spangec.cli import main
 from spangec.datagen import EsdInstance, make_esc_gold
@@ -219,6 +220,27 @@ def test_make_data_gold_only_and_sampled_only(corpus, tmp_path):
         if expect_gold:
             spans = parse_annotation(tokenize(record["rendered"])).spans
             assert [(s.src_start, s.src_end) for s in spans] == [(1, 2)]
+
+
+def test_make_data_extracts_gold_spans_once_per_pair(corpus, tmp_path):
+    n_pairs = len((corpus / "pairs.tsv").read_text(encoding="utf-8").splitlines())
+    counting = mock.Mock(wraps=extract_edits)
+    with mock.patch("spangec.alignment.extract_edits", counting), mock.patch(
+        "spangec.datagen.extract_edits", counting
+    ):
+        assert main(
+            [
+                "make-data",
+                str(corpus / "pairs.tsv"),
+                "--esd-out",
+                str(tmp_path / "esd.jsonl"),
+                "--esc-out",
+                str(tmp_path / "esc.jsonl"),
+                "--sampled-ratio",
+                "0",
+            ]
+        ) == 0
+    assert counting.call_count == n_pairs
 
 
 def test_train_esd_empty_corpus_exit_code(tmp_path):
