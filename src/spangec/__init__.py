@@ -5,6 +5,8 @@ rewrites only the flagged spans, which cuts decoding work roughly in
 proportion to how much of the text is already correct.
 """
 
+import importlib
+
 from .alignment import (
     AlignOp,
     AlignmentPath,
@@ -46,7 +48,6 @@ from .esc import (
     oracle_correct,
     train_corrector,
 )
-from .esd import DecodeConfig, EsdTagger, decode_spans, train_tagger
 from .metrics import (
     PRF,
     EfficiencyReport,
@@ -55,7 +56,19 @@ from .metrics import (
     efficiency_report,
     f_beta,
 )
-from .pipeline import correct_sentence, run_pipeline
+
+# Imported on first use (PEP 562): the detector needs numpy, the pipeline
+# needs the detector, and code that never scores a sentence needs neither.
+_LAZY = dict.fromkeys(("DecodeConfig", "EsdTagger", "decode_spans", "train_tagger"), "esd")
+_LAZY.update(correct_sentence="pipeline", run_pipeline="pipeline", esd=None, pipeline=None)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_LAZY[name] or name}")
+    return getattr(module, name) if _LAZY[name] else module
+
 
 __version__ = "0.1.0"
 

@@ -1,9 +1,11 @@
 """Command-line front end for the span-detection + span-correction pipeline.
 
 Subcommands: extract, make-data, corrupt, train-esd, train-esc, run, eval,
-sweep. extract, make-data and run stream line by line; the others read their
-whole input first. Exit codes are 0 (success), 1 (usage), 2 (data error),
-3 (model error). Set SPANGEC_LOG to control log verbosity.
+sweep. extract and make-data stream line by line, run a block of lines at a
+time; the others read their whole input first. Only extract, train-esd, run
+and sweep import the detector, and with it numpy. Exit codes are 0 (success),
+1 (usage), 2 (data error), 3 (model error). Set SPANGEC_LOG to control log
+verbosity.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import re
 import sys
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
-from . import alignment, annotation, datagen, esc, esd, metrics, pipeline
+from . import alignment, annotation, datagen, esc, metrics
 from .errors import DataError, ModelError, SpangecError
 
 log = logging.getLogger("spangec")
@@ -112,6 +114,7 @@ def _load_model(cls, path: str, what: str):
 
 
 def cmd_extract(args) -> int:
+    from . import esd
     with _option_checks(args):
         esd.DecodeConfig(merge_gap=args.merge_gap)
     _check_distinct(args.input, args.output)
@@ -228,6 +231,7 @@ def _read_jsonl(path: str, parse: Callable[[str], object]) -> list:
 
 
 def cmd_train_esd(args) -> int:
+    from . import esd
     if args.epochs < 1:
         args.parser.error("epochs must be at least 1")
     instances = _read_jsonl(args.input, _esd_record)
@@ -259,6 +263,7 @@ def _read_sentences(fh: Iterable[str]) -> Iterator[alignment.TokenSeq]:
 
 
 def cmd_run(args) -> int:
+    from . import esd, pipeline
     with _option_checks(args):
         decode_cfg = esd.DecodeConfig(threshold=args.threshold, merge_gap=args.merge_gap)
     tagger = _load_model(esd.EsdTagger, args.esd_model, "detector")
@@ -306,6 +311,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import esd, pipeline
     with _option_checks(args):
         thresholds = tuple(
             esd.DecodeConfig(threshold=float(t)).threshold for t in args.thresholds.split(",")

@@ -110,9 +110,11 @@ def make_esc_from_spans(path: AlignmentPath, spans: Sequence[EditSpan]) -> EscIn
 def make_esc_gold(
     path: AlignmentPath, spans: Optional[Sequence[EditSpan]] = None
 ) -> EscInstance:
-    """Corrector instance over the gold edit spans; spans, when given, must
-    be extract_edits(path)."""
-    return make_esc_from_spans(path, extract_edits(path) if spans is None else spans)
+    """Corrector instance over the gold edit spans, with the replacements
+    extract_edits made; spans, when given, must be extract_edits(path)."""
+    spans = extract_edits(path) if spans is None else spans
+    segments = tuple(enumerate((span.replacement for span in spans), start=1))
+    return EscInstance(annotate(path.source, spans), CorrectionOutput(segments))
 
 
 def sample_spans(

@@ -7,23 +7,23 @@ identity/affix/shape features it uses corpus-frequency bins of the token and
 its adjacent bigrams (counted over the training sources and stored with the
 model), which is what lets a linear model flag novel token juxtapositions it
 has never seen verbatim. It is a deliberately small, deterministic stand-in
-for a fine-tuned encoder: the estimator interface (fit / predict_probs) is
-the seam where a stronger model plugs in. Each distinct token and bigram is
-hashed once: `fit` hashes a corpus's types into transient tables and frees
-them when it returns, and queries memoise feature ids in two capped LRU
-caches. Both give the same rows. A literal "<pad>" token shares the
+for a fine-tuned encoder: the estimator interface (fit / block_probs) is
+the seam where a stronger model plugs in. One builder makes the feature rows
+for training and inference: it hashes each distinct token and bigram of a
+batch of sentences once, into transient per-type tables, and gathers the
+rows from them. `fit` runs it over the whole training corpus, queries over a
+block of sentences (`block_probs`). A literal "<pad>" token shares the
 sentence-boundary bigram features; changing that needs a new template version.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import random
 import struct
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 from zlib import crc32
 
@@ -34,7 +34,6 @@ from .datagen import EsdInstance
 from .errors import EmptyCorpusError, ModelFormatError
 
 N_BUCKETS = 1 << 20
-_BUCKET_MASK = N_BUCKETS - 1
 # Fixed multiply-shift constant (odd, 64-bit golden-ratio derived).
 _MIX = 0x9E3779B97F4A7C15
 TEMPLATE_VERSION = 1
@@ -52,32 +51,23 @@ _SEP = "\x1f"
 
 # Count-bin edges for frequency features: 0, 1-2, 3-8, 9+.
 _BIN_EDGES = (0, 2, 8)
-# Entries each feature-id memo holds before evicting the least recently used:
-# room for the few thousand frequent bigrams of a text. The cap counts
-# entries, not bytes: both memos full cost about 2.5 MB at word-length tokens,
-# more with very long ones (unbounded, 19 MB on 20k types and 50k bigrams).
-_MEMO_CAP = 4096
 # Tokens the perceptron scores with one gather before it looks for the first
 # mistake among them; chosen by timing train-esd on the benchmark corpora.
 _WINDOW = 48
-# Distinct bigrams `fit` hashes per batch: bounds its transient strings.
+# Distinct bigrams `_corpus_rows` hashes per batch: bounds its transient strings.
 _HASH_CHUNK = 4096
 
 
-def _bucket(feature: str) -> int:
-    h = crc32(feature.encode("utf-8"))
-    return ((h * _MIX) >> 44) & _BUCKET_MASK
-
-
-def _count_bin(count: int) -> int:
-    for b, edge in enumerate(_BIN_EDGES):
-        if count <= edge:
-            return b
-    return len(_BIN_EDGES)
+def _buckets(features: Iterable[str], n: int) -> np.ndarray:
+    """The buckets of n feature strings, as int32: the top 20 bits (one of
+    N_BUCKETS) of the 64-bit product of the crc32 of each string's UTF-8
+    bytes and _MIX. The multiply wraps mod 2**64, which keeps those bits."""
+    h = np.fromiter(map(crc32, map(str.encode, features)), np.uint64, n)
+    return (h * np.uint64(_MIX) >> np.uint64(44)).astype(np.int32)
 
 
 def _count_bins(counts: np.ndarray) -> np.ndarray:
-    """`_count_bin` of each count."""
+    """The frequency bin of each count: 0 for 0, 1 for 1-2, 2 for 3-8, 3 above."""
     return np.searchsorted(_BIN_EDGES, counts)
 
 
@@ -98,43 +88,26 @@ def token_shape(tok: str) -> str:
     return "".join(shape)
 
 
-def _unigram_key(tok: str) -> int:
-    return _bucket("u=" + tok)
-
-
-def _bigram_key(left: str, right: str) -> int:
-    return _bucket("b=" + left + _SEP + right)
-
-
-def _packed(*ids: int) -> bytes:
-    """Bucket ids as little-endian int64s: a sentence's rows are joined from
-    such pieces and read back with one np.frombuffer."""
-    return struct.pack(f"<{len(ids)}q", *ids)
-
-
-# Frequency-bin feature buckets are a small closed set; precompute them: the
+# Frequency-bin feature buckets are a small closed set, indexed by bin: the
 # unigram bin, and for each (left bin, right bin) the left, right and joint
 # bigram-bin features.
 _N_BINS = len(_BIN_EDGES) + 1
-_UNIGRAM_BIN_IDS = tuple(_packed(_bucket(f"uf={b}")) for b in range(_N_BINS))
-_BIGRAM_BIN_IDS = tuple(
-    tuple(
-        _packed(_bucket(f"bfl={bl}"), _bucket(f"bfr={br}"), _bucket(f"bflr={bl},{br}"))
+_UNIGRAM_BIN_TABLE = _buckets((f"uf={b}" for b in range(_N_BINS)), _N_BINS)
+_BIGRAM_BIN_TABLE = _buckets(
+    (
+        feature
+        for bl in range(_N_BINS)
         for br in range(_N_BINS)
-    )
-    for bl in range(_N_BINS)
-)
-# The same ids as arrays, indexed by bin, for `EsdTagger._corpus_rows`.
-_UNIGRAM_BIN_TABLE = np.frombuffer(b"".join(_UNIGRAM_BIN_IDS), dtype="<i8")
-_BIGRAM_BIN_TABLE = np.frombuffer(
-    b"".join(chain.from_iterable(_BIGRAM_BIN_IDS)), dtype="<i8"
+        for feature in (f"bfl={bl}", f"bfr={br}", f"bflr={bl},{br}")
+    ),
+    3 * _N_BINS * _N_BINS,
 ).reshape(_N_BINS, _N_BINS, 3)
 
 
 def _count_free_features(tok: str) -> tuple[str, ...]:
     """A token's ten count-free features: bias, identity, casing, shape and
     affixes. Context enters only through bigrams (identity and frequency
-    bins, see `EsdTagger._feature_ids`): raw neighbour-identity features
+    bins, see `EsdTagger._corpus_rows`): raw neighbour-identity features
     measurably hurt generalisation by memorising training noise."""
     return (
         "b=",
@@ -150,21 +123,14 @@ def _count_free_features(tok: str) -> tuple[str, ...]:
     )
 
 
-def _count_free_ids(tok: str) -> bytes:
-    """Packed buckets of a token's ten count-free features."""
-    return _packed(*map(_bucket, _count_free_features(tok)))
-
-
 class EsdTagger:
     """Binary token tagger with averaged-perceptron training.
 
     Parameters are plain constructor arguments; fit() consumes EsdInstance
-    objects and freezes the model. A trained tagger is not immutable: every
-    query fills two LRU memos of feature ids. Each memo entry is a pure
-    function of the frozen model, though, so no result depends on what the
-    memos hold, and concurrent queries can at worst compute an entry twice
-    (functools.lru_cache stays consistent under threads). Fitting while
-    another thread queries is not safe.
+    objects and freezes the model. `block_probs` scores a block of sentences
+    with one feature build and one weight gather; `predict_probs` scores one
+    sentence as a one-sentence block, which costs up to ten times more per
+    token on short sentences.
     """
 
     def __init__(self, epochs: int = 5, seed: int = 0):
@@ -176,53 +142,20 @@ class EsdTagger:
         self.epoch_mistakes: list[int] = []
         self._unigram_counts = np.zeros(N_BUCKETS, dtype=np.uint32)
         self._bigram_counts = np.zeros(N_BUCKETS, dtype=np.uint32)
-        self._new_memos()
-
-    def _new_memos(self) -> None:
-        """Empty LRU memos of the two entry builders below, holding at most
-        _MEMO_CAP entries each; their entries read the current counts. They
-        belong to the tagger: a class-level cache would keep every tagger alive."""
-        self._token_ids = functools.lru_cache(maxsize=_MEMO_CAP)(self._token_entry)
-        self._bigram_ids = functools.lru_cache(maxsize=_MEMO_CAP)(self._bigram_entry)
-
-    def _token_entry(self, tok: str) -> tuple[bytes, bytes]:
-        """A token's ten count-free ids and its unigram-bin id, packed."""
-        uf = _count_bin(int(self._unigram_counts[_unigram_key(tok)]))
-        return _count_free_ids(tok), _UNIGRAM_BIN_IDS[uf]
-
-    def _bigram_entry(self, left: str, right: str) -> tuple[bytes, bytes, int]:
-        """A bigram's bg-= id and bg+= id, packed, and its count bin."""
-        joined = left + _SEP + right
-        count = int(self._bigram_counts[_bigram_key(left, right)])
-        return (
-            _packed(_bucket("bg-=" + joined)),
-            _packed(_bucket("bg+=" + joined)),
-            _count_bin(count),
-        )
-
-    def _feature_ids(self, tokens: Sequence[str]) -> np.ndarray:
-        """An (n, 16) array of bucket ids, one row per token: the ten
-        count-free ids, the left bigram's bg-= id, the right bigram's bg+= id,
-        then the unigram bin and the left, right and joint bigram bins.
-
-        Keep this order, here and in `_corpus_rows`: numpy sums 16 values
-        pairwise (element j with j+8), so reordering the row changes margins,
-        and calibration's, in the last bit. The perceptron does not depend on
-        it, since its scores are exact integers (see `fit`)."""
-        padded = (_PAD, *tokens, _PAD)
-        bigrams = list(map(self._bigram_ids, padded, padded[1:]))
-        pieces: list[bytes] = []
-        for (count_free, uf), (bg_minus, _, bl), (_, bg_plus, br) in zip(
-            map(self._token_ids, tokens), bigrams, bigrams[1:]
-        ):
-            pieces += (count_free, bg_minus, bg_plus, uf, _BIGRAM_BIN_IDS[bl][br])
-        return np.frombuffer(b"".join(pieces), dtype="<i8").reshape(len(tokens), 16)
 
     def _corpus_rows(self, sentences: Sequence[Sequence[str]], count: bool) -> np.ndarray:
-        """The `_feature_ids` rows of every sentence, stacked, as int32: each
-        distinct token and bigram is hashed once, and the rows are gathered
-        from those per-type tables. With count, the corpus's tokens and
-        bigrams are first added to the count tables that the bins read."""
+        """An (n, 16) int32 array of bucket ids, one row per token of the
+        sentences in order: the ten count-free ids, the left bigram's bg-= id,
+        the right bigram's bg+= id, then the unigram bin and the left, right
+        and joint bigram bins. Each distinct token and bigram is hashed once,
+        and the rows are gathered from those per-type tables. With count, the
+        sentences' tokens and bigrams are first added to the count tables that
+        the bins read.
+
+        Keep the row order: numpy sums 16 values pairwise (element j with
+        j+8), so reordering the row changes margins, and calibration's, in the
+        last bit. The perceptron does not depend on it, since its scores are
+        exact integers (see `fit`)."""
         index = {tok: i for i, tok in enumerate(dict.fromkeys(chain.from_iterable(sentences)))}
         # Type ids; the boundary gets its own id after every token's, so a
         # literal _PAD token keeps its own counts but hashes to the same bigrams.
@@ -242,22 +175,18 @@ class EsdTagger:
         padded[left + 1] = codes
         pairs, bigram = np.unique(padded[:-1] * len(names) + padded[1:], return_inverse=True)
 
-        free = np.fromiter(
-            map(_bucket, chain.from_iterable(map(_count_free_features, names[:-1]))),
-            np.int32,
-            10 * boundary,
+        free = _buckets(
+            chain.from_iterable(map(_count_free_features, names[:-1])), 10 * boundary
         ).reshape(boundary, 10)
-        unigram_keys = np.fromiter(map(_unigram_key, names[:-1]), np.int32, boundary)
+        unigram_keys = _buckets(map("u=".__add__, names[:-1]), boundary)
         # Each distinct bigram's b= (count), bg-= and bg+= ids, hashed in
-        # chunks so that no corpus-sized list of strings is ever held.
+        # chunks so that no list of strings grows with the corpus.
         bigram_ids = np.empty((len(pairs), 3), np.int32)
         for lo in range(0, len(pairs), _HASH_CHUNK):
             a, b = np.divmod(pairs[lo : lo + _HASH_CHUNK], len(names))
             joined = [names[i] + _SEP + names[j] for i, j in zip(a.tolist(), b.tolist())]
             features = (key + j for j in joined for key in ("b=", "bg-=", "bg+="))
-            bigram_ids[lo : lo + len(joined)] = np.fromiter(
-                map(_bucket, features), np.int32, 3 * len(joined)
-            ).reshape(-1, 3)
+            bigram_ids[lo : lo + len(joined)] = _buckets(features, 3 * len(joined)).reshape(-1, 3)
         if count:
             occurrences = np.bincount(codes, minlength=boundary).astype(np.uint32)
             np.add.at(self._unigram_counts, unigram_keys, occurrences)
@@ -281,11 +210,10 @@ class EsdTagger:
         calibrate the temperature on the last tenth (or all of a corpus under
         ten instances).
 
-        Training hashes each distinct token and bigram of the corpus once,
-        into transient per-type tables that `fit` frees when it returns
-        (`_corpus_rows`); inference keeps its capped LRU memos instead. Both
-        give the same rows. Calibration scores the held-out tenth the same
-        way, against the counts just fitted.
+        Training builds the rows of the whole corpus with `_corpus_rows`,
+        whose per-type tables `fit` frees when it returns; inference runs the
+        same builder a block at a time. Calibration scores the held-out tenth
+        the same way, against the counts just fitted.
 
         Each epoch visits the tokens in a shuffled sentence order. It scores a
         window of upcoming tokens with one gather, skips the correct ones,
@@ -304,8 +232,6 @@ class EsdTagger:
         self._unigram_counts.fill(0)
         self._bigram_counts.fill(0)
         feats = self._corpus_rows([inst.tokens for inst in train], count=True)
-        # Entries memoised so far read the counts this fit replaced.
-        self._new_memos()
 
         lengths = np.array([len(inst.tokens) for inst in train], dtype=np.int64)
         starts = np.cumsum(lengths) - lengths
@@ -349,14 +275,28 @@ class EsdTagger:
         self.temperature = _fit_temperature(margins, [t for inst in calib for t in inst.tags])
         return self
 
-    def decision_margins(self, tokens: Sequence[str]) -> list[float]:
+    def _block_margins(self, sentences: Sequence[Sequence[str]]) -> list[list[float]]:
+        """Each sentence's per-token margins, from one row build and one
+        weight gather over the whole block."""
         if self.weights is None:
             raise ModelFormatError("tagger is not trained")
-        return self.weights[self._feature_ids(tokens)].sum(axis=1).tolist()
+        margins = self.weights[self._corpus_rows(sentences, count=False)].sum(axis=1).tolist()
+        ends = accumulate(map(len, sentences))
+        return [margins[end - len(tokens) : end] for tokens, end in zip(sentences, ends)]
+
+    def decision_margins(self, tokens: Sequence[str]) -> list[float]:
+        return self._block_margins([tokens])[0]
+
+    def block_probs(self, sentences: Sequence[Sequence[str]]) -> list[list[float]]:
+        """Per-token error probabilities in [0, 1] of each sentence of the block."""
+        return [
+            [_sigmoid(m / self.temperature) for m in margins]
+            for margins in self._block_margins(sentences)
+        ]
 
     def predict_probs(self, tokens: Sequence[str]) -> list[float]:
-        """Per-token error probabilities in [0, 1]."""
-        return [_sigmoid(m / self.temperature) for m in self.decision_margins(tokens)]
+        """Per-token error probabilities in [0, 1]: a one-sentence block."""
+        return self.block_probs([tokens])[0]
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.weights, self._unigram_counts, self._bigram_counts

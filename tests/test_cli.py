@@ -1,7 +1,11 @@
 import json
 import logging
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthlang
+from spangec import pipeline
 from spangec.alignment import align, detokenize, extract_edits, tokenize
 from spangec.annotation import parse_annotation
 from spangec.cli import main
@@ -549,6 +554,54 @@ def test_run_writes_lines_before_a_data_error(corpus, tmp_path):
         ]
     ) == 2
     assert len((tmp_path / "out.txt").read_text().splitlines()) == 2
+
+
+def test_run_writes_the_blocks_before_a_data_error(corpus, tmp_path):
+    """Two 3-token lines fill an 8-token block, so the bad sixth line falls
+    in the third block: the fifth line, read with it, is written too."""
+    lines = [" ".join(line.split()[:3]) for line in (corpus / "clean.txt").read_text().splitlines()]
+    assert all(len(line.split()) == 3 for line in lines[:5])
+    write_lines(tmp_path / "in.txt", lines[:5] + ["a <s1> b"])
+    argv = ["run", str(tmp_path / "in.txt"), "--esd-model", str(corpus / "esd.model"),
+            "--esc-model", str(corpus / "esc.model"), "-o", str(tmp_path / "out.txt")]
+    with mock.patch.object(pipeline, "_BLOCK_TOKENS", 8):
+        assert main(argv) == 2
+    assert len((tmp_path / "out.txt").read_text().splitlines()) == 5
+    write_lines(tmp_path / "in.txt", lines[:5])
+    assert main(argv) == 0
+    expected = (tmp_path / "out.txt").read_text().splitlines()
+    with mock.patch.object(pipeline, "_BLOCK_TOKENS", 8):
+        assert main(argv) == 0
+    assert (tmp_path / "out.txt").read_text().splitlines() == expected
+
+
+def test_commands_that_never_score_do_not_import_numpy(corpus, tmp_path):
+    script = """
+import sys
+from spangec.cli import main
+
+root, out = sys.argv[1:]
+commands = [
+    ["train-esc", f"{root}/esc.jsonl", "--model-out", f"{out}/esc.model"],
+    ["make-data", f"{root}/pairs.tsv", "--esd-out", f"{out}/esd.jsonl",
+     "--esc-out", f"{out}/esc.jsonl"],
+    ["eval", "--source", f"{root}/clean.txt", "--hypothesis", f"{root}/clean.txt",
+     "--gold", f"{root}/clean.txt", "-o", f"{out}/eval.json"],
+    ["corrupt", f"{root}/clean.txt", "--p-swap", "0.1", "-o", f"{out}/pairs.tsv"],
+]
+for argv in commands:
+    assert main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+import spangec
+assert spangec.EsdTagger.__module__ == "spangec.esd"
+assert all(hasattr(spangec, name) for name in spangec.__all__)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(corpus), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_run_refuses_to_write_over_its_input(corpus, tmp_path):

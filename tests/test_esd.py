@@ -1,8 +1,8 @@
+import contextlib
 import functools
 import math
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 from unittest import mock
 from zlib import crc32
@@ -22,11 +22,7 @@ from spangec.esd import (
     _SEP,
     DecodeConfig,
     EsdTagger,
-    _bigram_key,
-    _bucket,
-    _count_bin,
     _count_bins,
-    _unigram_key,
     decode_spans,
     token_shape,
     train_tagger,
@@ -179,8 +175,64 @@ def test_decode_spans_always_valid():
             prev_end = span.src_end
 
 
-# Reference feature extraction: the per-token code the memoised one replaced,
-# copied verbatim. The memoised ids and margins must equal it exactly.
+# Reference hashing and binning: the scalar code that `esd._buckets` and
+# `esd._count_bins` replaced, copied verbatim.
+_BUCKET_MASK = esd.N_BUCKETS - 1
+
+
+def _bucket(feature: str) -> int:
+    h = crc32(feature.encode("utf-8"))
+    return ((h * esd._MIX) >> 44) & _BUCKET_MASK
+
+
+def _count_bin(count: int) -> int:
+    for b, edge in enumerate(_BIN_EDGES):
+        if count <= edge:
+            return b
+    return len(_BIN_EDGES)
+
+
+def _unigram_key(tok: str) -> int:
+    return _bucket("u=" + tok)
+
+
+def _bigram_key(left: str, right: str) -> int:
+    return _bucket("b=" + left + _SEP + right)
+
+
+def _tiny_bucket(feature: str) -> int:
+    """Five buckets: every row repeats ids, as the update must count."""
+    return crc32(feature.encode("utf-8")) % 5
+
+
+@contextlib.contextmanager
+def hashing(bucket):
+    """Hash features with the scalar `bucket` in the detector's vectorised
+    seam, `esd._buckets`, and in the references here. With the reference
+    `_bucket` the detector keeps its own hashing. The bin tables were hashed
+    at import, on both sides, and keep the real buckets."""
+    if bucket is _bucket:
+        yield
+        return
+
+    def buckets(features, n):
+        return np.fromiter(map(bucket, features), np.int32, n)
+
+    with mock.patch.object(esd, "_buckets", buckets), mock.patch.object(
+        sys.modules[__name__], "_bucket", bucket
+    ):
+        yield
+
+
+@given(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)))
+def test_buckets_equal_scalar_bucket(features):
+    buckets = esd._buckets(iter(features), len(features))
+    assert buckets.dtype == np.int32
+    assert buckets.tolist() == [_bucket(f) for f in features]
+
+
+# Reference feature extraction: the per-token code that the per-type builder
+# replaced, copied verbatim. Its ids and margins must equal the builder's.
 _UF_BINS = tuple(_bucket(f"uf={b}") for b in range(len(_BIN_EDGES) + 1))
 _BFL_BINS = tuple(_bucket(f"bfl={b}") for b in range(len(_BIN_EDGES) + 1))
 _BFR_BINS = tuple(_bucket(f"bfr={b}") for b in range(len(_BIN_EDGES) + 1))
@@ -256,29 +308,33 @@ _TOKENS = st.lists(
 )
 
 
-@pytest.mark.parametrize("cap", [esd._MEMO_CAP, 1, 2])
-@given(tokens=_TOKENS)
+@pytest.mark.parametrize("max_block", [4096, 1, 2])
+@given(sentences=st.lists(_TOKENS, max_size=12), data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_feature_ids_and_margins_equal_reference(cap, tokens):
+def test_feature_ids_and_margins_equal_reference(max_block, sentences, data):
+    """Split into random blocks of at most max_block sentences, every
+    block's rows, margins and probabilities equal the per-token reference's;
+    one-sentence queries equal their one-sentence block."""
     tagger = _reference_tagger()
-    saved = tagger._token_ids, tagger._bigram_ids
-    with mock.patch.object(esd, "_MEMO_CAP", cap):
-        tagger._new_memos()
-    try:
-        ids = tagger._feature_ids(tokens)
-        margins = tagger.decision_margins(tokens)
-        infos = [tagger._token_ids.cache_info(), tagger._bigram_ids.cache_info()]
-    finally:
-        tagger._token_ids, tagger._bigram_ids = saved
-    assert all(info.maxsize == cap and info.currsize <= cap for info in infos)
-    reference = reference_feature_ids(tagger, tokens)
-    assert ids.shape == (len(tokens), 16)
-    assert ids.tolist() == [row.tolist() for row in reference]
-    assert margins == [float(tagger.weights[row].sum()) for row in reference]
+    start = 0
+    while start < len(sentences):
+        block = sentences[start : start + data.draw(st.integers(1, max_block))]
+        start += len(block)
+        reference = [reference_feature_ids(tagger, tokens) for tokens in block]
+        rows = tagger._corpus_rows(block, count=False)
+        margins = tagger._block_margins(block)
+        probs = tagger.block_probs(block)
+        assert rows.shape == (sum(map(len, block)), 16)
+        assert rows.tolist() == [row.tolist() for ref in reference for row in ref]
+        assert margins == [[float(tagger.weights[row].sum()) for row in ref] for ref in reference]
+        assert probs == [[esd._sigmoid(m / tagger.temperature) for m in ms] for ms in margins]
+        if len(block) == 1:
+            assert tagger.decision_margins(block[0]) == margins[0]
+            assert tagger.predict_probs(block[0]) == probs[0]
 
 
 def test_refit_equals_fresh_fit(tmp_path):
-    """Memoised count bins from an earlier fit must not leak into the next."""
+    """Count bins from an earlier fit must not leak into the next."""
     small, full = make_instances()[:5], make_instances()
     refit = train_tagger(small, epochs=2, seed=4)
     for inst in full:
@@ -290,41 +346,6 @@ def test_refit_equals_fresh_fit(tmp_path):
     refit.save(str(tmp_path / "refit.bin"))
     fresh.save(str(tmp_path / "fresh.bin"))
     assert (tmp_path / "refit.bin").read_bytes() == (tmp_path / "fresh.bin").read_bytes()
-
-
-def test_hot_token_survives_a_flood_of_one_off_types(tmp_path):
-    """A token seen between one-off types stays memoised: only the least
-    recently used entry is evicted, never the whole memo."""
-    path = str(tmp_path / "model.esd")
-    train_tagger(make_instances(), epochs=1, seed=0).save(path)
-    stream = [tok for i in range(20) for tok in ("the", f"once{i}")]
-    with mock.patch.object(esd, "_MEMO_CAP", 2):
-        tagger = EsdTagger.load(path)
-        with mock.patch.object(esd, "_count_free_ids", wraps=esd._count_free_ids) as build:
-            tagger.decision_margins(stream)
-    built = [call.args[0] for call in build.call_args_list]
-    assert built.count("the") == 1
-    assert len(built) == 21
-
-
-def test_threads_querying_one_tagger_agree_with_one_thread():
-    sentences = [inst.tokens for inst in make_instances()]
-    sentences += [(f"new{i}", "the", f"new{i + 1}") for i in range(40)]
-    with mock.patch.object(esd, "_MEMO_CAP", 2):
-        tagger = train_tagger(make_instances(), epochs=2, seed=6)
-    expected = [tagger.decision_margins(tokens) for tokens in sentences]
-
-    def margins(_):
-        return [tagger.decision_margins(tokens) for _ in range(10) for tokens in sentences]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(margins, range(4), timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
-    assert results == [expected * 10] * 4
 
 
 # Reference training: the per-token perceptron loop, the per-occurrence
@@ -353,10 +374,8 @@ def reference_fit(self, instances) -> "EsdTagger":
     self._unigram_counts = np.zeros(esd.N_BUCKETS, dtype=np.uint32)
     self._bigram_counts = np.zeros(esd.N_BUCKETS, dtype=np.uint32)
     reference_count_corpus(self, train)
-    # Entries memoised so far read the counts this fit replaced.
-    self._new_memos()
 
-    feats = [self._feature_ids(inst.tokens) for inst in train]
+    feats = [reference_feature_ids(self, inst.tokens) for inst in train]
     labels = [inst.tags for inst in train]
 
     w = np.zeros(esd.N_BUCKETS, dtype=np.float64)
@@ -384,7 +403,8 @@ def reference_fit_temperature(self, instances: Sequence[EsdInstance]) -> float:
     margins: list[float] = []
     tags: list[int] = []
     for inst in instances:
-        margins.extend(self.decision_margins(inst.tokens))
+        rows = reference_feature_ids(self, inst.tokens)
+        margins.extend(float(self.weights[ids].sum()) for ids in rows)
         tags.extend(inst.tags)
     best_t, best_nll = 1.0, math.inf
     for t in esd._TEMPERATURE_GRID:
@@ -408,13 +428,8 @@ _CORPORA = st.lists(
 )
 
 
-def _tiny_bucket(feature: str) -> int:
-    """Five buckets: every row repeats ids, as the update must count."""
-    return crc32(feature.encode("utf-8")) % 5
-
-
 @pytest.mark.parametrize(
-    "window, bucket", [(esd._WINDOW, esd._bucket), (1, esd._bucket), (2, esd._bucket),
+    "window, bucket", [(esd._WINDOW, _bucket), (1, _bucket), (2, _bucket),
                        (esd._WINDOW, _tiny_bucket), (2, _tiny_bucket)]
 )
 @given(corpus=_CORPORA, epochs=st.integers(1, 3), seed=st.integers(0, 3))
@@ -428,7 +443,7 @@ def _tiny_bucket(feature: str) -> int:
 def test_fit_equals_per_token_reference(tmp_path_factory, window, bucket, corpus, epochs, seed):
     root = tmp_path_factory.mktemp("fit")
     paths = root / "fast.esd", root / "reference.esd"
-    with mock.patch.object(esd, "_WINDOW", window), mock.patch.object(esd, "_bucket", bucket):
+    with mock.patch.object(esd, "_WINDOW", window), hashing(bucket):
         fast = EsdTagger(epochs=epochs, seed=seed).fit(corpus)
         reference = reference_fit(EsdTagger(epochs=epochs, seed=seed), corpus)
     fast.save(str(paths[0]))
@@ -470,14 +485,14 @@ _PROBES = st.lists(
 )
 
 
-@pytest.mark.parametrize("bucket", [esd._bucket, _tiny_bucket])
+@pytest.mark.parametrize("bucket", [_bucket, _tiny_bucket])
 @given(corpus=_CORPORA, probes=_PROBES)
 @settings(max_examples=80, deadline=None)
 def test_corpus_rows_equal_inference_rows(bucket, corpus, probes):
-    """Training's per-type tables give the rows and counts of the memoised
-    per-sentence path, also when distinct types share buckets."""
+    """The per-type builder gives the rows and counts of the per-token
+    reference, counting and not, also when distinct types share buckets."""
     sentences = [inst.tokens for inst in corpus] + probes
-    with mock.patch.object(esd, "_bucket", bucket):
+    with hashing(bucket):
         counted = EsdTagger()
         counted_rows = counted._corpus_rows(sentences, count=True)
         reference = EsdTagger()
@@ -486,7 +501,7 @@ def test_corpus_rows_equal_inference_rows(bucket, corpus, probes):
         counts = fitted._unigram_counts.copy(), fitted._bigram_counts.copy()
         rows = fitted._corpus_rows(sentences, count=False)
         expected = [
-            np.vstack([np.empty((0, 16), np.int64), *map(tagger._feature_ids, sentences)])
+            [row.tolist() for tokens in sentences for row in reference_feature_ids(tagger, tokens)]
             for tagger in (counted, fitted)
         ]
     assert (counted._unigram_counts == reference._unigram_counts).all()
@@ -494,8 +509,10 @@ def test_corpus_rows_equal_inference_rows(bucket, corpus, probes):
     assert (fitted._unigram_counts == counts[0]).all()
     assert (fitted._bigram_counts == counts[1]).all()
     assert counted_rows.dtype == rows.dtype == np.int32
-    assert counted_rows.tolist() == expected[0].tolist()
-    assert rows.tolist() == expected[1].tolist()
+    assert counted_rows.tolist() == expected[0]
+    assert rows.tolist() == expected[1]
+    # The five-bucket hash reached the builder: identity ids are all below 5.
+    assert bucket is _bucket or rows[:, :12].max(initial=0) < 5
 
 
 def test_count_bins_equal_count_bin():
