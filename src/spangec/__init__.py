@@ -34,7 +34,6 @@ from .datagen import (
     CorruptConfig,
     EscInstance,
     EsdInstance,
-    SpanSampleConfig,
     corrupt,
     make_esc_gold,
     make_esc_sampled,
@@ -87,7 +86,6 @@ __all__ = [
     "EsdTagger",
     "PRF",
     "PhraseTableCorrector",
-    "SpanSampleConfig",
     "TokenSeq",
     "align",
     "annotate",

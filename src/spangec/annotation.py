@@ -19,10 +19,23 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .alignment import EditSpan, TokenSeq, detokenize, tokenize, validate_spans
+from .alignment import EditSpan, TokenSeq, detokenize, merge_edits, tokenize, validate_spans
 from .errors import DataError, MalformedMarkersError, OverlapError, ReservedTokenError
 
 MAX_SPANS = 64
+
+
+def fit_spans(spans: Sequence[EditSpan], merge_gap: int = 0) -> list[EditSpan]:
+    """The spans fused across gaps of up to merge_gap tokens (nothing fuses
+    at 0, not even adjacent spans), then across ever wider gaps until at
+    most MAX_SPANS remain for the markers to number. After any merge pass no
+    span carries a replacement; project_spans gives them."""
+    spans = merge_edits(spans, merge_gap) if merge_gap > 0 else list(spans)
+    while len(spans) > MAX_SPANS:
+        merge_gap += 1
+        spans = merge_edits(spans, merge_gap)
+    return spans
+
 
 # <sK> or </sK> for K in 1..99; only K <= MAX_SPANS is reserved.
 _MARKER = re.compile(r"<(/?)s([1-9][0-9]?)>")

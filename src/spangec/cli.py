@@ -17,7 +17,7 @@ import logging
 import os
 import re
 import sys
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Any, Callable, Iterator, Optional, Sequence, TextIO
 
 from . import alignment, annotation, datagen, esc, metrics
 from .errors import DataError, ModelError, SpangecError
@@ -47,26 +47,41 @@ def _option_checks(args) -> Iterator[None]:
 
 # What errors="surrogateescape" decodes an invalid UTF-8 byte to.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+# What a parser raises on a line it rejects.
+_BAD_LINE = (ValueError, KeyError, TypeError, AttributeError, SpangecError)
 
 
-def _checked_lines(fh: TextIO, name: str) -> Iterator[str]:
-    """Yield the lines of fh, which escapes undecodable bytes; invalid UTF-8
-    is a data error naming the file and the line."""
+def _name(path: str) -> str:
+    return "<stdin>" if path == "-" else path
+
+
+def _parsed_lines(fh: TextIO, name: str, parse: Callable[[str], Any]) -> Iterator[tuple[int, Any]]:
     for lineno, line in enumerate(fh, start=1):
-        bad = _ESCAPED_BYTE.search(line)
-        if bad:
-            byte = ord(bad.group()) - 0xDC00
-            raise DataError(f"{name}:{lineno}: invalid UTF-8 byte 0x{byte:02x}")
-        yield line
+        try:
+            bad = _ESCAPED_BYTE.search(line)
+            if bad:
+                raise DataError(f"invalid UTF-8 byte 0x{ord(bad.group()) - 0xDC00:02x}")
+            value = parse(line)
+        except _BAD_LINE as exc:
+            raise DataError(f"{name}:{lineno}: {exc}") from exc
+        if value is not None:
+            yield lineno, value
 
 
 @contextlib.contextmanager
-def _open_in(path: str) -> Iterator[Iterator[str]]:
-    """The lines of path, or of stdin for -, decoded as UTF-8."""
-    name = "<stdin>" if path == "-" else path
+def _open_in(path: str, parse: Callable[[str], Any]) -> Iterator[Iterator[tuple[int, Any]]]:
+    """(line number, parse(line)) for each line of path, or of stdin for -,
+    decoded as UTF-8; a line that parses to None is skipped. Invalid UTF-8,
+    or a line parse rejects, is a data error naming the file and the line."""
     source = sys.stdin.fileno() if path == "-" else path
     with open(source, "r", encoding="utf-8", errors="surrogateescape", closefd=path != "-") as fh:
-        yield _checked_lines(fh, name)
+        yield _parsed_lines(fh, _name(path), parse)
+
+
+def _read_records(path: str, parse: Callable[[str], Any]) -> list:
+    """The parsed lines of path that are not None."""
+    with _open_in(path, parse) as records:
+        return [record for _, record in records]
 
 
 def _open_out(path: Optional[str]):
@@ -82,25 +97,22 @@ def _check_distinct(input_path: str, output_path: Optional[str]) -> None:
             raise DataError(f"output {output_path} is the input file; write elsewhere")
 
 
-def read_parallel_tsv(
-    fh: Iterable[str],
-) -> Iterator[tuple[int, alignment.TokenSeq, alignment.TokenSeq]]:
-    """Yield (line number, source tokens, target tokens) from source<TAB>target lines."""
-    for lineno, line in enumerate(fh, start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"line {lineno}: expected source<TAB>target, got {len(parts)} fields")
-        source = alignment.tokenize(parts[0])
-        target = alignment.tokenize(parts[1])
-        try:
-            annotation.check_no_reserved(source)
-            annotation.check_no_reserved(target)
-        except DataError as exc:
-            raise DataError(f"line {lineno}: {exc}") from exc
-        yield lineno, source, target
+def _pair(line: str) -> Optional[tuple[alignment.TokenSeq, alignment.TokenSeq]]:
+    """The source and target tokens of a source<TAB>target line; None if blank."""
+    line = line.rstrip("\n")
+    if not line:
+        return None
+    parts = line.split("\t")
+    if len(parts) != 2:
+        raise DataError(f"expected source<TAB>target, got {len(parts)} fields")
+    return _sentence(parts[0]), _sentence(parts[1])
+
+
+def _sentence(line: str) -> alignment.TokenSeq:
+    """The tokens of a line of text; a reserved marker is a data error."""
+    tokens = alignment.tokenize(line)
+    annotation.check_no_reserved(tokens)
+    return tokens
 
 
 def _load_model(cls, path: str, what: str):
@@ -117,40 +129,33 @@ def cmd_extract(args) -> int:
     from . import esd
     with _option_checks(args):
         esd.DecodeConfig(merge_gap=args.merge_gap)
+
+    def record(line: str) -> Optional[str]:
+        pair = _pair(line)
+        if pair is None:
+            return None
+        path = alignment.align(*pair)
+        spans = annotation.fit_spans(alignment.extract_edits(path), args.merge_gap)
+        instance = datagen.make_esc_from_spans(path, spans)
+        return annotation.to_json_record(instance.annotated, instance.correction)
+
     _check_distinct(args.input, args.output)
-    with _open_in(args.input) as fin, _open_out(args.output) as fout:
-        for lineno, source, target in read_parallel_tsv(fin):
-            try:
-                path = alignment.align(source, target)
-                spans = alignment.extract_edits(path)
-                # Gap 0 would still fuse adjacent spans, so merge only on request.
-                if args.merge_gap > 0:
-                    spans = alignment.merge_edits(spans, args.merge_gap)
-                instance = datagen.make_esc_from_spans(path, spans)
-            except (ValueError, SpangecError) as exc:
-                raise DataError(f"line {lineno}: {exc}") from exc
-            fout.write(
-                annotation.to_json_record(instance.annotated, instance.correction) + "\n"
-            )
+    with _open_in(args.input, record) as records, _open_out(args.output) as fout:
+        for _, text in records:
+            fout.write(text + "\n")
     return 0
 
 
 def cmd_make_data(args) -> int:
-    with _option_checks(args):
-        cfg = datagen.SpanSampleConfig(
-            geometric_p=args.geometric_p,
-            max_span_len=args.max_span_len,
-            coverage_budget=args.coverage_budget,
-        )
     if not 0 <= args.sampled_ratio <= 1:
         args.parser.error("sampled_ratio must be in [0, 1]")
     _check_distinct(args.input, args.esd_out)
     _check_distinct(args.input, args.esc_out)
     with contextlib.ExitStack() as stack:
-        fin = stack.enter_context(_open_in(args.input))
+        pairs = stack.enter_context(_open_in(args.input, _pair))
         esd_out = stack.enter_context(_open_out(args.esd_out))
         esc_out = stack.enter_context(_open_out(args.esc_out))
-        for lineno, source, target in read_parallel_tsv(fin):
+        for lineno, (source, target) in pairs:
             try:
                 # One alignment and one set of gold spans serve the detector
                 # and the corrector instance.
@@ -161,7 +166,7 @@ def cmd_make_data(args) -> int:
                 esd_out.write(json.dumps(record, ensure_ascii=False) + "\n")
                 rng = datagen.sentence_rng(args.seed, lineno)
                 if source and rng.random() < args.sampled_ratio:
-                    esc_inst = datagen.make_esc_sampled(path, cfg, rng)
+                    esc_inst = datagen.make_esc_sampled(path, rng)
                 else:
                     esc_inst = datagen.make_esc_gold(path, spans)
                 esc_out.write(
@@ -169,7 +174,7 @@ def cmd_make_data(args) -> int:
                     + "\n"
                 )
             except (ValueError, SpangecError) as exc:
-                raise DataError(f"line {lineno}: {exc}") from exc
+                raise DataError(f"{_name(args.input)}:{lineno}: {exc}") from exc
     return 0
 
 
@@ -179,12 +184,11 @@ def cmd_corrupt(args) -> int:
         # The vocabulary comes with the input; a stand-in lets the
         # probabilities be checked first.
         datagen.CorruptConfig(**probs, vocab=("",))
-    with _open_in(args.input) as fin:
-        lines = [line.rstrip("\n") for line in fin]
-    sentences = [alignment.tokenize(line) for line in lines if line.strip()]
+    # Whitespace-only lines are skipped.
+    sentences = _read_records(args.input, lambda line: alignment.tokenize(line) or None)
     if args.vocab_file:
-        with _open_in(args.vocab_file) as fh:
-            vocab = tuple(tok for line in fh for tok in alignment.tokenize(line))
+        lines = _read_records(args.vocab_file, alignment.tokenize)
+        vocab = tuple(tok for tokens in lines for tok in tokens)
     else:
         vocab = tuple(sorted({tok for sent in sentences for tok in sent}))
     try:
@@ -201,7 +205,9 @@ def cmd_corrupt(args) -> int:
     return 0
 
 
-def _esd_record(line: str) -> datagen.EsdInstance:
+def _esd_record(line: str) -> Optional[datagen.EsdInstance]:
+    if not line.strip():
+        return None
     record = json.loads(line)
     tokens, tags = record["tokens"], record["tags"]
     if not (isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens)):
@@ -211,30 +217,17 @@ def _esd_record(line: str) -> datagen.EsdInstance:
     return datagen.EsdInstance(tokens=tuple(tokens), tags=tuple(tags))
 
 
-def _esc_record(line: str) -> datagen.EscInstance:
+def _esc_record(line: str) -> Optional[datagen.EscInstance]:
+    if not line.strip():
+        return None
     return datagen.EscInstance(*annotation.from_json_record(line))
-
-
-def _read_jsonl(path: str, parse: Callable[[str], object]) -> list:
-    """Parse every non-blank line; a bad record is a data error at path:line."""
-    records = []
-    with _open_in(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(parse(line))
-            except (ValueError, KeyError, TypeError, AttributeError, SpangecError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return records
 
 
 def cmd_train_esd(args) -> int:
     from . import esd
     if args.epochs < 1:
         args.parser.error("epochs must be at least 1")
-    instances = _read_jsonl(args.input, _esd_record)
+    instances = _read_records(args.input, _esd_record)
     model = esd.train_tagger(instances, epochs=args.epochs, seed=args.seed)
     for epoch, mistakes in enumerate(model.epoch_mistakes, start=1):
         log.info("detector epoch %d/%d: %d perceptron mistakes", epoch, args.epochs, mistakes)
@@ -244,22 +237,11 @@ def cmd_train_esd(args) -> int:
 
 
 def cmd_train_esc(args) -> int:
-    instances = _read_jsonl(args.input, _esc_record)
+    instances = _read_records(args.input, _esc_record)
     model = esc.train_corrector(instances)
     model.save(args.model_out)
     log.info("trained corrector on %d instances -> %s", len(instances), args.model_out)
     return 0
-
-
-def _read_sentences(fh: Iterable[str]) -> Iterator[alignment.TokenSeq]:
-    """Yield the tokens of each line; a reserved marker is a data error."""
-    for lineno, line in enumerate(fh, start=1):
-        tokens = alignment.tokenize(line.rstrip("\n"))
-        try:
-            annotation.check_no_reserved(tokens)
-        except DataError as exc:
-            raise DataError(f"line {lineno}: {exc}") from exc
-        yield tokens
 
 
 def cmd_run(args) -> int:
@@ -269,9 +251,9 @@ def cmd_run(args) -> int:
     tagger = _load_model(esd.EsdTagger, args.esd_model, "detector")
     corrector = _load_model(esc.PhraseTableCorrector, args.esc_model, "corrector")
     _check_distinct(args.input, args.output)
-    with _open_in(args.input) as fin, _open_out(args.output) as fout:
+    with _open_in(args.input, _sentence) as lines, _open_out(args.output) as fout:
         _, report = pipeline.run_pipeline(
-            _read_sentences(fin),
+            (tokens for _, tokens in lines),
             tagger,
             corrector,
             decode_cfg,
@@ -286,13 +268,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    def read_tokens(path: str) -> list[alignment.TokenSeq]:
-        with _open_in(path) as fh:
-            return [alignment.tokenize(line.rstrip("\n")) for line in fh]
-
-    sources = read_tokens(args.source)
-    hypotheses = read_tokens(args.hypothesis)
-    golds = read_tokens(args.gold)
+    sources = _read_records(args.source, alignment.tokenize)
+    hypotheses = _read_records(args.hypothesis, alignment.tokenize)
+    golds = _read_records(args.gold, alignment.tokenize)
     if not (len(sources) == len(hypotheses) == len(golds)):
         raise DataError("source, hypothesis and gold must have the same line count")
     prf = metrics.correction_metrics(sources, hypotheses, golds)
@@ -312,13 +290,11 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     from . import esd, pipeline
+    texts = pipeline.SWEEP_THRESHOLDS if args.thresholds is None else args.thresholds.split(",")
     with _option_checks(args):
-        thresholds = tuple(
-            esd.DecodeConfig(threshold=float(t)).threshold for t in args.thresholds.split(",")
-        )
+        thresholds = tuple(esd.DecodeConfig(threshold=float(t)).threshold for t in texts)
     tagger = _load_model(esd.EsdTagger, args.esd_model, "detector")
-    with _open_in(args.input) as fin:
-        pairs = [(src, tgt) for _, src, tgt in read_parallel_tsv(fin)]
+    pairs = _read_records(args.input, _pair)
     rows = pipeline.threshold_sweep(tagger, pairs, thresholds)
     with _open_out(args.output) as fout:
         if args.format == "json":
@@ -362,9 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--esc-out", required=True)
     p.add_argument("--sampled-ratio", type=float, default=0.5,
                    help="fraction of corrector instances using sampled spans")
-    p.add_argument("--geometric-p", type=float, default=0.2)
-    p.add_argument("--max-span-len", type=int, default=10)
-    p.add_argument("--coverage-budget", type=float, default=0.15)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_make_data)
 
@@ -412,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="detection metrics across thresholds")
     p.add_argument("input", help="parallel TSV with gold targets")
     p.add_argument("--esd-model", required=True)
-    p.add_argument("--thresholds", default="0.2,0.3,0.4,0.5,0.6,0.7")
+    p.add_argument("--thresholds", default=None)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--format", choices=("json", "tsv", "text"), default="text")
     p.set_defaults(func=cmd_sweep)

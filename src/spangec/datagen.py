@@ -4,9 +4,10 @@ Three flavours of instances come out of an aligned (source, target) pair:
 
 * detector instances: per-token 0/1 tags marking edited spans;
 * gold corrector instances: the true edit spans with their replacements;
-* sampled corrector instances: random spans with geometric lengths under a
-  coverage budget, each paired with its target-side projection, so the
-  corrector also learns to copy text the detector flagged by mistake.
+* sampled corrector instances: random spans of geometric(_GEOMETRIC_P)
+  lengths up to _MAX_SPAN_LEN, covering a _COVERAGE_BUDGET share of the
+  tokens, each paired with its target-side projection, so the corrector
+  also learns to copy text the detector flagged by mistake.
 
 A separate corruption routine fabricates noisy sources from clean text.
 """
@@ -24,7 +25,12 @@ from .alignment import (
     extract_edits,
     project_spans,
 )
-from .annotation import AnnotatedSentence, CorrectionOutput, annotate
+from .annotation import AnnotatedSentence, CorrectionOutput, annotate, fit_spans
+
+# Random-span sampling: geometric lengths, a length cap, a coverage budget.
+_GEOMETRIC_P = 0.2
+_MAX_SPAN_LEN = 10
+_COVERAGE_BUDGET = 0.15
 
 
 @dataclass(frozen=True)
@@ -47,23 +53,6 @@ class EscInstance:
 
     annotated: AnnotatedSentence
     correction: CorrectionOutput
-
-
-@dataclass(frozen=True)
-class SpanSampleConfig:
-    """Random-span sampling knobs (geometric lengths, coverage budget)."""
-
-    geometric_p: float = 0.2
-    max_span_len: int = 10
-    coverage_budget: float = 0.15
-
-    def __post_init__(self):
-        if not (0 < self.geometric_p <= 1):
-            raise ValueError("geometric_p must be in (0, 1]")
-        if self.max_span_len < 1:
-            raise ValueError("max_span_len must be >= 1")
-        if not (0 <= self.coverage_budget < 1):
-            raise ValueError("coverage_budget must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -92,7 +81,10 @@ def make_esd_instance(
     path: AlignmentPath, spans: Optional[Sequence[EditSpan]] = None
 ) -> EsdInstance:
     """Tag source tokens: 1 inside any gold edit span, 0 elsewhere. spans,
-    when given, must be extract_edits(path)."""
+    when given, must be extract_edits(path). An empty source has no tokens
+    to tag, nor a token to anchor an edit to."""
+    if not path.source:
+        return EsdInstance(tokens=(), tags=())
     tags = [0] * len(path.source)
     for span in extract_edits(path) if spans is None else spans:
         for i in range(span.src_start, span.src_end):
@@ -101,7 +93,9 @@ def make_esd_instance(
 
 
 def make_esc_from_spans(path: AlignmentPath, spans: Sequence[EditSpan]) -> EscInstance:
-    """Build a corrector instance for the given spans with projected replacements."""
+    """Build a corrector instance for the given spans, fitted by `fit_spans`,
+    with projected replacements."""
+    spans = fit_spans(spans)
     annotated = annotate(path.source, spans)
     segments = tuple(enumerate(project_spans(path, spans), start=1))
     return EscInstance(annotated=annotated, correction=CorrectionOutput(segments))
@@ -111,18 +105,19 @@ def make_esc_gold(
     path: AlignmentPath, spans: Optional[Sequence[EditSpan]] = None
 ) -> EscInstance:
     """Corrector instance over the gold edit spans, with the replacements
-    extract_edits made; spans, when given, must be extract_edits(path)."""
+    extract_edits made; spans, when given, must be extract_edits(path).
+    Spans fused to fit the markers take projected replacements."""
     spans = extract_edits(path) if spans is None else spans
+    if len(fit_spans(spans)) < len(spans):
+        return make_esc_from_spans(path, spans)
     segments = tuple(enumerate((span.replacement for span in spans), start=1))
     return EscInstance(annotate(path.source, spans), CorrectionOutput(segments))
 
 
-def sample_spans(
-    tokens: Sequence[str], cfg: SpanSampleConfig, rng: random.Random
-) -> list[EditSpan]:
+def sample_spans(tokens: Sequence[str], rng: random.Random) -> list[EditSpan]:
     """Draw non-overlapping random spans until the coverage budget is met.
 
-    Lengths are geometric(geometric_p) clipped to max_span_len, starts are
+    Lengths are geometric(_GEOMETRIC_P) clipped to _MAX_SPAN_LEN, starts are
     uniform; overlapping draws are rejected, and sampling stops after the
     budget is reached or 50 rejections. Deterministic given the rng state.
     Spans carry no replacement.
@@ -130,14 +125,14 @@ def sample_spans(
     n = len(tokens)
     if n < 1:
         raise ValueError("cannot sample spans from an empty sentence")
-    target_cover = cfg.coverage_budget * n
+    target_cover = _COVERAGE_BUDGET * n
     occupied = [False] * n
     covered = 0
     rejections = 0
     spans: list[EditSpan] = []
     while covered < target_cover and rejections < 50:
         length = 1
-        while length < cfg.max_span_len and rng.random() >= cfg.geometric_p:
+        while length < _MAX_SPAN_LEN and rng.random() >= _GEOMETRIC_P:
             length += 1
         length = min(length, n)
         start = rng.randrange(0, n - length + 1)
@@ -152,11 +147,9 @@ def sample_spans(
     return spans
 
 
-def make_esc_sampled(
-    path: AlignmentPath, cfg: SpanSampleConfig, rng: random.Random
-) -> EscInstance:
+def make_esc_sampled(path: AlignmentPath, rng: random.Random) -> EscInstance:
     """Corrector instance over randomly sampled spans (robustness training)."""
-    return make_esc_from_spans(path, sample_spans(path.source, cfg, rng))
+    return make_esc_from_spans(path, sample_spans(path.source, rng))
 
 
 def corrupt(

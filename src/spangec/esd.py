@@ -29,7 +29,8 @@ from zlib import crc32
 
 import numpy as np
 
-from .alignment import EditSpan, merge_edits
+from .alignment import EditSpan
+from .annotation import fit_spans
 from .datagen import EsdInstance
 from .errors import EmptyCorpusError, ModelFormatError
 
@@ -284,9 +285,6 @@ class EsdTagger:
         ends = accumulate(map(len, sentences))
         return [margins[end - len(tokens) : end] for tokens, end in zip(sentences, ends)]
 
-    def decision_margins(self, tokens: Sequence[str]) -> list[float]:
-        return self._block_margins([tokens])[0]
-
     def block_probs(self, sentences: Sequence[Sequence[str]]) -> list[list[float]]:
         """Per-token error probabilities in [0, 1] of each sentence of the block."""
         return [
@@ -401,8 +399,8 @@ class DecodeConfig:
 
 
 def decode_spans(probs: Sequence[float], cfg: DecodeConfig) -> list[EditSpan]:
-    """Maximal runs of tokens with prob >= threshold become spans; runs
-    separated by at most merge_gap tokens fuse. No spans means error-free."""
+    """Maximal runs of tokens with prob >= threshold become spans, fitted by
+    `fit_spans` at merge_gap. No spans means error-free."""
     spans: list[EditSpan] = []
     start = None
     for i, p in enumerate(probs):
@@ -414,6 +412,4 @@ def decode_spans(probs: Sequence[float], cfg: DecodeConfig) -> list[EditSpan]:
             start = None
     if start is not None:
         spans.append(EditSpan(start, len(probs)))
-    if cfg.merge_gap > 0:
-        spans = merge_edits(spans, cfg.merge_gap)
-    return spans
+    return fit_spans(spans, cfg.merge_gap)

@@ -90,6 +90,8 @@ def detection_metrics(pred_tags, gold_tags) -> PRF:
 
 
 def _edit_set(source, other):
+    if not source and other:  # no source token to anchor the insertion to
+        return {(0, 0, tuple(other))}
     return {
         (s.src_start, s.src_end, s.replacement)
         for s in extract_edits(align(source, other))

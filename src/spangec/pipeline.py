@@ -6,8 +6,8 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import esc, esd, metrics
-from .alignment import TokenSeq, align, merge_edits
-from .annotation import MAX_SPANS, annotate, merge_corrections
+from .alignment import TokenSeq, align
+from .annotation import annotate, merge_corrections
 from .datagen import make_esd_instance
 
 SWEEP_THRESHOLDS = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
@@ -46,10 +46,6 @@ def _correct_scored(
     spans = esd.decode_spans(probs, decode_cfg)
     if not spans:
         return tokens, 0
-    gap = decode_cfg.merge_gap
-    while len(spans) > MAX_SPANS:
-        gap += 1
-        spans = merge_edits(spans, gap)
     annotated = annotate(tokens, spans)
     result = corrector.correct(annotated)
     return merge_corrections(annotated, result.output), result.decode_steps
@@ -64,8 +60,8 @@ def correct_sentence(
     """Detect, correct and merge one sentence: (corrected tokens, span
     decoding steps). An error-free sentence passes through untouched at zero
     steps. A sentence with more detected spans than the markers can number
-    has its spans fused across ever wider gaps until they fit. For many
-    sentences `run_pipeline` is faster: it scores them in blocks."""
+    has them fused by `fit_spans` until they fit. For many sentences
+    `run_pipeline` is faster: it scores them in blocks."""
     return _correct_scored(tokens, tagger.predict_probs(tokens), corrector, decode_cfg)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spangec.alignment import EditSpan, align, detokenize, extract_edits, tokenize
+from spangec.alignment import EditSpan, align, detokenize, extract_edits, merge_edits, tokenize
 from spangec.annotation import (
     MAX_SPANS,
     AnnotatedSentence,
@@ -14,6 +14,7 @@ from spangec.annotation import (
     _marker_number,
     annotate,
     check_no_reserved,
+    fit_spans,
     from_json_record,
     merge_corrections,
     parse_annotation,
@@ -290,3 +291,40 @@ def test_gold_round_trip_with_alignment():
 def test_render_correction_round_trip():
     corr = CorrectionOutput(((1, ("x", "y")), (2, ())))
     assert parse_correction(render_correction(corr)) == corr
+
+
+def reference_fit(spans, merge_gap):
+    """The fitting rule as it stood spread over decode_spans (the gap-0
+    guard) and the pipeline's widening loop, copied verbatim."""
+    if merge_gap > 0:
+        spans = merge_edits(spans, merge_gap)
+    gap = merge_gap
+    while len(spans) > MAX_SPANS:
+        gap += 1
+        spans = merge_edits(spans, gap)
+    return spans
+
+
+@st.composite
+def sorted_disjoint_spans(draw):
+    """0 to 200 sorted, disjoint spans, some adjacent, some carrying a
+    replacement, with gaps of 0 to 4 tokens between them."""
+    rng = draw(st.randoms(use_true_random=False))
+    spans, cursor = [], 0
+    for _ in range(draw(st.integers(0, 200))):
+        start = cursor + rng.randint(0, 4)
+        cursor = start + rng.randint(1, 3)
+        spans.append(EditSpan(start, cursor, rng.choice([None, ("x",)])))
+    return spans
+
+
+@given(sorted_disjoint_spans(), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_fit_spans_equals_the_widening_loop(spans, merge_gap):
+    fitted = fit_spans(spans, merge_gap)
+    assert fitted == reference_fit(spans, merge_gap)
+    assert len(fitted) <= MAX_SPANS
+    covered = {i for span in fitted for i in range(span.src_start, span.src_end)}
+    assert all(i in covered for span in spans for i in range(span.src_start, span.src_end))
+    if merge_gap == 0 and len(spans) <= MAX_SPANS:
+        assert fitted == spans  # nothing fuses, replacements and all

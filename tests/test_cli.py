@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthlang
-from spangec import pipeline
+from spangec import datagen, pipeline
 from spangec.alignment import align, detokenize, extract_edits, tokenize
-from spangec.annotation import parse_annotation
+from spangec.annotation import from_json_record, merge_corrections, parse_annotation
 from spangec.cli import main
-from spangec.datagen import EsdInstance, make_esc_gold
+from spangec.datagen import EsdInstance, make_esc_gold, make_esd_instance
 from spangec.esc import train_corrector
-from spangec.esd import N_BUCKETS, train_tagger
+from spangec.esd import N_BUCKETS, DecodeConfig, decode_spans, train_tagger
 
 
 def write_lines(path, lines):
@@ -205,22 +205,21 @@ def test_make_data_deterministic(corpus, tmp_path):
 def test_make_data_gold_only_and_sampled_only(corpus, tmp_path):
     write_lines(tmp_path / "pairs.tsv", ["a b c d\ta x c d"])
     for ratio, expect_gold in (("0", True), ("1", False)):
-        assert main(
-            [
-                "make-data",
-                str(tmp_path / "pairs.tsv"),
-                "--esd-out",
-                str(tmp_path / "esd.jsonl"),
-                "--esc-out",
-                str(tmp_path / "esc.jsonl"),
-                "--sampled-ratio",
-                ratio,
-                "--coverage-budget",
-                "0.5",
-                "--seed",
-                "1",
-            ]
-        ) == 0
+        with mock.patch.object(datagen, "_COVERAGE_BUDGET", 0.5):
+            assert main(
+                [
+                    "make-data",
+                    str(tmp_path / "pairs.tsv"),
+                    "--esd-out",
+                    str(tmp_path / "esd.jsonl"),
+                    "--esc-out",
+                    str(tmp_path / "esc.jsonl"),
+                    "--sampled-ratio",
+                    ratio,
+                    "--seed",
+                    "1",
+                ]
+            ) == 0
         record = json.loads((tmp_path / "esc.jsonl").read_text())
         if expect_gold:
             spans = parse_annotation(tokenize(record["rendered"])).spans
@@ -333,7 +332,6 @@ def test_invalid_utf8_on_stdin_names_line(tmp_path, capsys, monkeypatch):
         ("run", "--merge-gap", "-1"),
         ("sweep", "--thresholds", "abc"),
         ("sweep", "--thresholds", "5"),
-        ("make-data", "--geometric-p", "0"),
         ("make-data", "--sampled-ratio", "7"),
         ("corrupt", "--p-insert", "2"),
         ("train-esd", "--epochs", "-1"),
@@ -771,3 +769,90 @@ def test_end_to_end_oracle_style_round_trip(tmp_path):
         ]
     ) == 0
     assert (tmp_path / "out.txt").read_text().splitlines() == [t for _, t in pairs]
+
+
+@pytest.mark.parametrize("command", ["extract", "make-data"])
+def test_more_gold_spans_than_markers_fuse_as_run_fuses_them(tmp_path, command):
+    """70 one-token edits do not fit 64 markers: the record's spans are the
+    ones run would fuse from the gold tags, and still rebuild the target."""
+    source = tuple(tok for i in range(70) for tok in (f"w{i}", "k"))
+    target = tuple(tok for i in range(70) for tok in (f"v{i}", "k"))
+    write_lines(tmp_path / "pairs.tsv", [detokenize(source) + "\t" + detokenize(target)])
+    out = tmp_path / "esc.jsonl"
+    argv = {
+        "extract": ["-o", str(out)],
+        "make-data": ["--esd-out", str(tmp_path / "esd.jsonl"), "--esc-out", str(out),
+                      "--sampled-ratio", "0"],
+    }[command]
+    assert main([command, str(tmp_path / "pairs.tsv"), *argv]) == 0
+    annotated, correction = from_json_record(out.read_text(encoding="utf-8"))
+    tags = make_esd_instance(align(source, target)).tags
+    assert len(extract_edits(align(source, target))) == 70
+    assert list(annotated.spans) == decode_spans(tags, DecodeConfig())
+    assert merge_corrections(annotated, correction) == target
+
+
+_GOOD_LINES = {
+    "extract": "a b\ta c",
+    "make-data": "a b\ta c",
+    "run": "a b",
+    "sweep": "a b\ta c",
+    "train-esd": '{"tokens": ["a"], "tags": [0]}',
+    "train-esc": '{"rendered": "a <s1> b </s1>", "correction": "<s1> c </s1>"}',
+}
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        pytest.param("extract", "only one field", id="extract-fields"),
+        pytest.param("extract", "\tx y", id="extract-empty-source"),
+        pytest.param("make-data", "a b\ta <s1> c", id="make-data-marker"),
+        pytest.param("make-data", "\tx y", id="make-data-empty-source"),
+        pytest.param("run", "a <s1> b", id="run"),
+        pytest.param("sweep", "a\tb\tc", id="sweep"),
+        pytest.param("train-esd", '{"tokens": 5, "tags": [0]}', id="train-esd"),
+        pytest.param("train-esc", "[1]", id="train-esc"),
+    ],
+)
+def test_a_bad_line_is_a_data_error_naming_file_and_line(
+    small_models, tmp_path, capsys, command, bad
+):
+    """A bad third line, whether the reader or (for make-data's empty
+    source) the loop rejects it, is reported as <file>:3."""
+    good = _GOOD_LINES[command]
+    data = tmp_path / "data.txt"
+    write_lines(data, [good, good, bad, good])
+    out = str(tmp_path / "out")
+    argv = {
+        "extract": ["-o", out],
+        "make-data": ["--esd-out", out, "--esc-out", out + "2"],
+        "run": ["--esd-model", str(small_models / "esd"), "--esc-model",
+                str(small_models / "esc"), "-o", out],
+        "sweep": ["--esd-model", str(small_models / "esd"), "-o", out],
+        "train-esd": ["--model-out", out],
+        "train-esc": ["--model-out", out],
+    }[command]
+    assert main([command, str(data), *argv]) == 2
+    assert f"spangec: data error: {data}:3: " in capsys.readouterr().err
+
+
+def test_eval_counts_an_insertion_into_an_empty_source(tmp_path):
+    write_lines(tmp_path / "src.txt", ["a b", ""])
+    write_lines(tmp_path / "hyp.txt", ["a b", "x y"])
+    write_lines(tmp_path / "gold.txt", ["a c", "x y"])
+    argv = ["eval", "--source", str(tmp_path / "src.txt"), "--hypothesis",
+            str(tmp_path / "hyp.txt"), "--gold", str(tmp_path / "gold.txt"),
+            "-o", str(tmp_path / "m.json")]
+    assert main(argv) == 0
+    scores = json.loads((tmp_path / "m.json").read_text())
+    assert (scores["tp"], scores["fp"], scores["fn"]) == (1, 0, 1)
+
+
+def test_sweep_on_an_empty_source(small_models, tmp_path):
+    write_lines(tmp_path / "pairs.tsv", ["a b\ta c", "\tx y"])
+    argv = ["sweep", str(tmp_path / "pairs.tsv"), "--esd-model", str(small_models / "esd"),
+            "--format", "json", "-o", str(tmp_path / "sweep.json")]
+    assert main(argv) == 0
+    rows = json.loads((tmp_path / "sweep.json").read_text())
+    assert [row["threshold"] for row in rows] == list(pipeline.SWEEP_THRESHOLDS)

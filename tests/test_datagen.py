@@ -1,9 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spangec import datagen
 from spangec.alignment import (
     EditSpan,
     align,
@@ -16,7 +18,6 @@ from spangec.annotation import merge_corrections
 from spangec.datagen import (
     CorruptConfig,
     EsdInstance,
-    SpanSampleConfig,
     corrupt,
     make_esc_from_spans,
     make_esc_gold,
@@ -83,22 +84,35 @@ def test_esd_esc_consistency():
     assert tagged == in_spans
 
 
+def sampler(geometric_p=0.2, max_span_len=10, coverage_budget=0.15):
+    """The sampler's constants patched to these values (the defaults are
+    the shipped ones)."""
+    return mock.patch.multiple(
+        datagen,
+        _GEOMETRIC_P=geometric_p,
+        _MAX_SPAN_LEN=max_span_len,
+        _COVERAGE_BUDGET=coverage_budget,
+    )
+
+
 def test_sample_spans_zero_budget():
-    cfg = SpanSampleConfig(coverage_budget=0.0)
-    assert sample_spans(("a", "b", "c"), cfg, random.Random(0)) == []
+    with sampler(coverage_budget=0.0):
+        assert sample_spans(("a", "b", "c"), random.Random(0)) == []
 
 
 def test_sample_spans_length_one_sentence():
-    cfg = SpanSampleConfig(coverage_budget=0.9)
-    spans = sample_spans(("only",), cfg, random.Random(1))
+    with sampler(coverage_budget=0.9):
+        spans = sample_spans(("only",), random.Random(1))
     assert spans == [EditSpan(0, 1)]
 
 
 def test_sample_spans_golden_seed42():
     # Frozen once from this implementation's own RNG stream.
     tokens = tuple(f"t{i}" for i in range(20))
-    cfg = SpanSampleConfig(geometric_p=0.2, max_span_len=10, coverage_budget=0.15)
-    spans = sample_spans(tokens, cfg, random.Random(42))
+    assert (datagen._GEOMETRIC_P, datagen._MAX_SPAN_LEN, datagen._COVERAGE_BUDGET) == (
+        0.2, 10, 0.15
+    )
+    spans = sample_spans(tokens, random.Random(42))
     assert [(s.src_start, s.src_end) for s in spans] == [(3, 5), (8, 10)]
 
 
@@ -106,21 +120,19 @@ def test_sample_spans_golden_seed42():
 @settings(max_examples=200)
 def test_sample_spans_valid_and_within_budget_logic(n, seed):
     tokens = tuple(f"t{i}" for i in range(n))
-    cfg = SpanSampleConfig(geometric_p=0.3, max_span_len=5, coverage_budget=0.4)
-    spans = sample_spans(tokens, cfg, random.Random(seed))
+    with sampler(geometric_p=0.3, max_span_len=5, coverage_budget=0.4):
+        spans = sample_spans(tokens, random.Random(seed))
     prev_end = 0
     for span in spans:
         assert prev_end <= span.src_start < span.src_end <= n
-        assert span.src_end - span.src_start <= cfg.max_span_len
+        assert span.src_end - span.src_start <= 5
         prev_end = span.src_end
 
 
 def test_sample_spans_deterministic():
     tokens = tuple(f"t{i}" for i in range(15))
-    cfg = SpanSampleConfig()
-    assert sample_spans(tokens, cfg, random.Random(9)) == sample_spans(
-        tokens, cfg, random.Random(9)
-    )
+    with sampler():
+        assert sample_spans(tokens, random.Random(9)) == sample_spans(tokens, random.Random(9))
 
 
 def test_projection_copy_for_unedited_span():
@@ -177,9 +189,9 @@ def test_sampled_instance_round_trip_when_spans_cover_edits(src, tgt, seed):
 def test_make_esc_sampled_deterministic():
     src = tokenize("a b c d e f g h")
     tgt = tokenize("a b x d e f h")
-    cfg = SpanSampleConfig(coverage_budget=0.3)
-    a = make_esc_sampled(align(src, tgt), cfg, random.Random(3))
-    b = make_esc_sampled(align(src, tgt), cfg, random.Random(3))
+    with sampler(coverage_budget=0.3):
+        a = make_esc_sampled(align(src, tgt), random.Random(3))
+        b = make_esc_sampled(align(src, tgt), random.Random(3))
     assert a == b
 
 
@@ -250,8 +262,6 @@ def test_esd_instance_rejects_bad_tags(tokens, tags):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SpanSampleConfig(geometric_p=0.0)
     with pytest.raises(ValueError):
         CorruptConfig(p_insert=0.6, p_delete=0.6)
     with pytest.raises(ValueError):
