@@ -90,11 +90,23 @@ def _open_out(path: Optional[str]):
     return open(path, "w", encoding="utf-8")
 
 
-def _check_distinct(input_path: str, output_path: Optional[str]) -> None:
-    """Streaming into the file being read would truncate it before it is read."""
-    if input_path != "-" and output_path not in (None, "-") and os.path.exists(output_path):
-        if os.path.samefile(input_path, output_path):
-            raise DataError(f"output {output_path} is the input file; write elsewhere")
+def _is_file(path: Optional[str]) -> bool:
+    """Whether path names a regular file, or none yet (writing makes one)."""
+    return path not in (None, "-") and (os.path.isfile(path) or not os.path.exists(path))
+
+
+def _check_distinct(inputs: Sequence[Optional[str]], outputs: Sequence[Optional[str]]) -> None:
+    """An output that names an input or another output would truncate that
+    file before it is read or written. Inputs may repeat, and so may stdin,
+    stdout (- or an omitted path) and devices such as /dev/null."""
+    seen = [path for path in inputs if _is_file(path)]
+    for path in filter(_is_file, outputs):
+        for other in seen:
+            if os.path.realpath(path) == os.path.realpath(other) or (
+                os.path.exists(path) and os.path.exists(other) and os.path.samefile(path, other)
+            ):
+                raise DataError(f"output {path} is the same file as {other}; write elsewhere")
+        seen.append(path)
 
 
 def _pair(line: str) -> Optional[tuple[alignment.TokenSeq, alignment.TokenSeq]]:
@@ -130,51 +142,57 @@ def cmd_extract(args) -> int:
     with _option_checks(args):
         esd.DecodeConfig(merge_gap=args.merge_gap)
 
+    _check_distinct([args.input], [args.output])
+    skipped = 0
+
     def record(line: str) -> Optional[str]:
+        nonlocal skipped
         pair = _pair(line)
         if pair is None:
+            return None
+        if not pair[0] and pair[1]:  # no token to anchor the insertion to
+            skipped += 1
             return None
         path = alignment.align(*pair)
         spans = annotation.fit_spans(alignment.extract_edits(path), args.merge_gap)
         instance = datagen.make_esc_from_spans(path, spans)
         return annotation.to_json_record(instance.annotated, instance.correction)
 
-    _check_distinct(args.input, args.output)
     with _open_in(args.input, record) as records, _open_out(args.output) as fout:
         for _, text in records:
             fout.write(text + "\n")
+    log.info("extract: skipped %d insertions into an empty source", skipped)
     return 0
 
 
 def cmd_make_data(args) -> int:
     if not 0 <= args.sampled_ratio <= 1:
         args.parser.error("sampled_ratio must be in [0, 1]")
-    _check_distinct(args.input, args.esd_out)
-    _check_distinct(args.input, args.esc_out)
+    _check_distinct([args.input], [args.esd_out, args.esc_out])
+    skipped = 0
     with contextlib.ExitStack() as stack:
         pairs = stack.enter_context(_open_in(args.input, _pair))
         esd_out = stack.enter_context(_open_out(args.esd_out))
         esc_out = stack.enter_context(_open_out(args.esc_out))
         for lineno, (source, target) in pairs:
-            try:
-                # One alignment and one set of gold spans serve the detector
-                # and the corrector instance.
-                path = alignment.align(source, target)
-                spans = alignment.extract_edits(path)
-                inst = datagen.make_esd_instance(path, spans)
-                record = {"tokens": list(inst.tokens), "tags": list(inst.tags)}
-                esd_out.write(json.dumps(record, ensure_ascii=False) + "\n")
-                rng = datagen.sentence_rng(args.seed, lineno)
-                if source and rng.random() < args.sampled_ratio:
-                    esc_inst = datagen.make_esc_sampled(path, rng)
-                else:
-                    esc_inst = datagen.make_esc_gold(path, spans)
-                esc_out.write(
-                    annotation.to_json_record(esc_inst.annotated, esc_inst.correction)
-                    + "\n"
-                )
-            except (ValueError, SpangecError) as exc:
-                raise DataError(f"{_name(args.input)}:{lineno}: {exc}") from exc
+            # One alignment and one set of gold spans serve the detector and
+            # the corrector instance.
+            path = alignment.align(source, target)
+            spans = alignment.extract_edits(path) if source else []
+            inst = datagen.make_esd_instance(path, spans)
+            record = {"tokens": list(inst.tokens), "tags": list(inst.tags)}
+            esd_out.write(json.dumps(record, ensure_ascii=False) + "\n")
+            if not source and target:  # no token to anchor the insertion to
+                skipped += 1
+                continue
+            rng = datagen.sentence_rng(args.seed, lineno)
+            if source and rng.random() < args.sampled_ratio:
+                esc_inst = datagen.make_esc_sampled(path, rng)
+            else:
+                esc_inst = datagen.make_esc_gold(path, spans)
+            esc_record = annotation.to_json_record(esc_inst.annotated, esc_inst.correction)
+            esc_out.write(esc_record + "\n")
+    log.info("make-data: no corrector record for %d insertions into an empty source", skipped)
     return 0
 
 
@@ -184,6 +202,7 @@ def cmd_corrupt(args) -> int:
         # The vocabulary comes with the input; a stand-in lets the
         # probabilities be checked first.
         datagen.CorruptConfig(**probs, vocab=("",))
+    _check_distinct([args.input, args.vocab_file], [args.output])
     # Whitespace-only lines are skipped.
     sentences = _read_records(args.input, lambda line: alignment.tokenize(line) or None)
     if args.vocab_file:
@@ -227,6 +246,7 @@ def cmd_train_esd(args) -> int:
     from . import esd
     if args.epochs < 1:
         args.parser.error("epochs must be at least 1")
+    _check_distinct([args.input], [args.model_out])
     instances = _read_records(args.input, _esd_record)
     model = esd.train_tagger(instances, epochs=args.epochs, seed=args.seed)
     for epoch, mistakes in enumerate(model.epoch_mistakes, start=1):
@@ -237,6 +257,7 @@ def cmd_train_esd(args) -> int:
 
 
 def cmd_train_esc(args) -> int:
+    _check_distinct([args.input], [args.model_out])
     instances = _read_records(args.input, _esc_record)
     model = esc.train_corrector(instances)
     model.save(args.model_out)
@@ -248,9 +269,9 @@ def cmd_run(args) -> int:
     from . import esd, pipeline
     with _option_checks(args):
         decode_cfg = esd.DecodeConfig(threshold=args.threshold, merge_gap=args.merge_gap)
+    _check_distinct([args.input, args.esd_model, args.esc_model], [args.output, args.report])
     tagger = _load_model(esd.EsdTagger, args.esd_model, "detector")
     corrector = _load_model(esc.PhraseTableCorrector, args.esc_model, "corrector")
-    _check_distinct(args.input, args.output)
     with _open_in(args.input, _sentence) as lines, _open_out(args.output) as fout:
         _, report = pipeline.run_pipeline(
             (tokens for _, tokens in lines),
@@ -268,6 +289,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_distinct([args.source, args.hypothesis, args.gold], [args.output])
     sources = _read_records(args.source, alignment.tokenize)
     hypotheses = _read_records(args.hypothesis, alignment.tokenize)
     golds = _read_records(args.gold, alignment.tokenize)
@@ -293,6 +315,7 @@ def cmd_sweep(args) -> int:
     texts = pipeline.SWEEP_THRESHOLDS if args.thresholds is None else args.thresholds.split(",")
     with _option_checks(args):
         thresholds = tuple(esd.DecodeConfig(threshold=float(t)).threshold for t in texts)
+    _check_distinct([args.input, args.esd_model], [args.output])
     tagger = _load_model(esd.EsdTagger, args.esd_model, "detector")
     pairs = _read_records(args.input, _pair)
     rows = pipeline.threshold_sweep(tagger, pairs, thresholds)

@@ -5,12 +5,18 @@ the number of decoding steps a span-constrained decoder would spend (every
 emitted token counts, markers included). The phrase table is the desk-scale
 stand-in for a seq2seq model; the oracle replays gold replacements and backs
 round-trip tests.
+
+The phrase table is one table of counts, saved as it is held in one JSON
+document: {"format": 1, "counts": {span: {context: {replacement: count}}}}.
+Spans and replacements are detokenized, which loses nothing since tokens
+hold no whitespace; the context is the token left of the span, "" at a
+sentence start.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -18,6 +24,8 @@ from .alignment import TokenSeq, detokenize, tokenize
 from .annotation import AnnotatedSentence, CorrectionOutput
 from .datagen import EscInstance
 from .errors import EmptyCorpusError, ModelFormatError
+
+FORMAT = 1  # the layout version of a saved phrase table
 
 
 @dataclass(frozen=True)
@@ -35,14 +43,14 @@ def _count_steps(output: CorrectionOutput) -> int:
 class PhraseTableCorrector:
     """Frequency-based span corrector.
 
-    Lookup key is (left-context token, span tokens); backoff drops the
-    context, then falls back to copying the span unchanged. The most
-    frequent replacement wins, ties broken lexicographically.
+    Lookup tries (context, span), then backs off to the span's counts summed
+    over its contexts, then copies the span unchanged. The most frequent
+    replacement wins, ties broken by the smallest token sequence.
     """
 
     def __init__(self):
-        self._by_context: dict[tuple[Optional[str], TokenSeq], Counter] = {}
-        self._by_span: dict[TokenSeq, Counter] = {}
+        self._counts: dict[str, dict[str, dict[str, int]]] = {}
+        self._span_counts: dict[str, dict[str, int]] = {}
 
     def fit(self, instances: Iterable[EscInstance]) -> "PhraseTableCorrector":
         instances = list(instances)
@@ -50,33 +58,36 @@ class PhraseTableCorrector:
             raise EmptyCorpusError("no training instances")
         for inst in instances:
             by_number = dict(inst.correction.segments)
+            source = inst.annotated.source
             for k, span in enumerate(inst.annotated.spans, start=1):
                 if k not in by_number:
                     continue
-                span_tokens = inst.annotated.source[span.src_start : span.src_end]
-                ctx = (
-                    inst.annotated.source[span.src_start - 1]
-                    if span.src_start > 0
-                    else None
-                )
-                repl = by_number[k]
-                key = (ctx, span_tokens)
-                self._by_context.setdefault(key, Counter())[repl] += 1
-                self._by_span.setdefault(span_tokens, Counter())[repl] += 1
+                span_text = detokenize(source[span.src_start : span.src_end])
+                ctx = source[span.src_start - 1] if span.src_start > 0 else ""
+                repls = self._counts.setdefault(span_text, {}).setdefault(ctx, {})
+                repl = detokenize(by_number[k])
+                repls[repl] = repls.get(repl, 0) + 1
+        self._sum_contexts()
         return self
 
-    @staticmethod
-    def _best(counter: Counter) -> TokenSeq:
-        return min(counter, key=lambda repl: (-counter[repl], repl))
+    def _sum_contexts(self) -> None:
+        """Sum each span's counts over its contexts, checking the table's shape."""
+        self._span_counts = {}
+        for span, contexts in self._counts.items():
+            total: dict[str, int] = {}
+            for repls in contexts.values():
+                for repl, count in repls.items():
+                    total[repl] = total.get(repl, 0) + operator.index(count)
+            self._span_counts[span] = total
 
     def lookup(self, ctx: Optional[str], span_tokens: TokenSeq) -> TokenSeq:
-        counter = self._by_context.get((ctx, span_tokens))
-        if counter:
-            return self._best(counter)
-        counter = self._by_span.get(span_tokens)
-        if counter:
-            return self._best(counter)
-        return span_tokens
+        span = detokenize(span_tokens)
+        repls = self._counts.get(span, {}).get(ctx or "") or self._span_counts.get(span)
+        if not repls:
+            return span_tokens
+        top = max(repls.values())
+        # Token tuples, not texts: ("a", "b") < ("a\x01",) but "a b" > "a\x01".
+        return min(tokenize(repl) for repl, count in repls.items() if count == top)
 
     def correct(self, annotated: AnnotatedSentence) -> CorrectionResult:
         """One segment per span, in order. Requires at least one span:
@@ -92,43 +103,24 @@ class PhraseTableCorrector:
         return CorrectionResult(output=output, decode_steps=_count_steps(output))
 
     def save(self, path: str) -> None:
-        """Phrase-table JSONL: {"ctx", "span", "repl", "count"} per record."""
-        records = []
-        for (ctx, span_tokens), counter in self._by_context.items():
-            for repl, count in counter.items():
-                records.append(
-                    {
-                        "ctx": ctx,
-                        "span": detokenize(span_tokens),
-                        "repl": detokenize(repl),
-                        "count": count,
-                    }
-                )
-        records.sort(key=lambda r: (r["span"], r["ctx"] or "", r["repl"]))
+        document = {"format": FORMAT, "counts": self._counts}
         with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(json.dumps(document, ensure_ascii=False, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "PhraseTableCorrector":
         model = cls()
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
-                    span_tokens = tokenize(record["span"])
-                    repl = tokenize(record["repl"])
-                    key = (record["ctx"], span_tokens)
-                    count = int(record["count"])
-                    model._by_context.setdefault(key, Counter())[repl] += count
-                    model._by_span.setdefault(span_tokens, Counter())[repl] += count
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                # ValueError covers bad JSON, bad UTF-8 and a non-integer count;
-                # the others a record of the wrong shape or field types.
-                raise ModelFormatError(f"corrupt corrector model {path}: {exc}") from exc
+                document = json.load(fh)
+                if document["format"] != FORMAT:
+                    raise ValueError(f"format {document['format']!r}")
+                model._counts = document["counts"]
+                model._sum_contexts()
+            except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+                # ValueError: bad JSON (an older JSONL model too) or UTF-8.
+                message = f"{path} is not a format-{FORMAT} corrector model: {exc!r}"
+                raise ModelFormatError(message + "; retrain it with train-esc") from exc
         return model
 
 

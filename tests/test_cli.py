@@ -439,19 +439,74 @@ def test_run_damaged_detector_model_exit_code(corpus, tmp_path, damage):
     assert run_one_line(tmp_path, bad, corpus / "esc.model") == 3
 
 
-@pytest.mark.parametrize(
-    "record",
-    [
-        '{"ctx": null, "span": "a", "repl": "b", "count": "x"}',
-        '{"ctx": null, "span": 5, "repl": "b", "count": 1}',
-        '["a", "b"]',
-    ],
-    ids=["count_not_integer", "span_not_string", "not_an_object"],
+_OLDER_JSONL_MODEL = (
+    '{"ctx": null, "span": "a", "repl": "b", "count": 1}\n'
+    '{"ctx": "x", "span": "a", "repl": "c", "count": 2}'
 )
-def test_run_bad_corrector_record_exit_code(corpus, tmp_path, record):
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        '{"format": 1, "counts": {"a": {"": {"b": "x"}}}}',
+        '{"format": 1, "counts": {"a": {"": {"b": 1.5}}}}',
+        '{"format": 1, "counts": {"a": [{"b": 1}]}}',
+        '{"format": 1, "counts": {"a": {"": "b"}}}',
+        '{"format": 1, "counts": ["a"]}',
+        '["a", "b"]',
+        '{"counts": {}}',
+        '{"format": 2, "counts": {}}',
+        _OLDER_JSONL_MODEL,
+    ],
+    ids=[
+        "count_not_integer",
+        "count_a_float",
+        "context_level_a_list",
+        "count_level_a_string",
+        "counts_not_an_object",
+        "not_an_object",
+        "format_missing",
+        "format_wrong",
+        "older_jsonl_model",
+    ],
+)
+def test_run_bad_corrector_record_exit_code(corpus, tmp_path, capsys, document):
     bad = tmp_path / "bad.esc"
-    write_lines(bad, [record])
+    write_lines(bad, [document])
     assert run_one_line(tmp_path, corpus / "esd.model", bad) == 3
+    assert "is not a format-1 corrector model" in capsys.readouterr().err
+
+
+def test_run_with_an_empty_count_object_copies_the_span(small_models):
+    assert run_damaged(small_models, "esc", (small_models / "esc").read_bytes()) == 0
+    assert (small_models / "out.txt").read_text().splitlines() == ["a c", "a c"]
+    empty = b'{"format": 1, "counts": {"b": {"a": {}}}}'
+    assert run_damaged(small_models, "esc", empty) == 0
+    assert (small_models / "out.txt").read_text().splitlines() == ["a c", "a b"]
+
+
+def test_train_esc_and_run_are_byte_identical_under_two_hash_seeds(corpus, tmp_path):
+    pairs = (corpus / "pairs.tsv").read_text().splitlines()[:200]
+    write_lines(tmp_path / "in.txt", [line.split("\t")[0] for line in pairs])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env.pop("SPANGEC_LOG", None)
+        for argv in (
+            ["train-esc", corpus / "esc.jsonl", "--model-out", out / "model.esc"],
+            ["run", tmp_path / "in.txt", "--esd-model", corpus / "esd.model", "--esc-model",
+             out / "model.esc", "-o", out / "out.txt", "--report", out / "report.json"],
+        ):
+            result = subprocess.run(
+                [sys.executable, "-m", "spangec.cli", *map(str, argv)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+        outputs.append([(out / name).read_bytes() for name in ("model.esc", "out.txt", "report.json")])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.fixture(scope="module")
@@ -806,9 +861,7 @@ _GOOD_LINES = {
     "command, bad",
     [
         pytest.param("extract", "only one field", id="extract-fields"),
-        pytest.param("extract", "\tx y", id="extract-empty-source"),
         pytest.param("make-data", "a b\ta <s1> c", id="make-data-marker"),
-        pytest.param("make-data", "\tx y", id="make-data-empty-source"),
         pytest.param("run", "a <s1> b", id="run"),
         pytest.param("sweep", "a\tb\tc", id="sweep"),
         pytest.param("train-esd", '{"tokens": 5, "tags": [0]}', id="train-esd"),
@@ -818,8 +871,7 @@ _GOOD_LINES = {
 def test_a_bad_line_is_a_data_error_naming_file_and_line(
     small_models, tmp_path, capsys, command, bad
 ):
-    """A bad third line, whether the reader or (for make-data's empty
-    source) the loop rejects it, is reported as <file>:3."""
+    """A bad third line is reported as <file>:3."""
     good = _GOOD_LINES[command]
     data = tmp_path / "data.txt"
     write_lines(data, [good, good, bad, good])
@@ -856,3 +908,93 @@ def test_sweep_on_an_empty_source(small_models, tmp_path):
     assert main(argv) == 0
     rows = json.loads((tmp_path / "sweep.json").read_text())
     assert [row["threshold"] for row in rows] == list(pipeline.SWEEP_THRESHOLDS)
+
+
+@pytest.mark.parametrize("command", ["extract", "make-data"])
+def test_an_insertion_into_an_empty_source_is_skipped(tmp_path, caplog, command):
+    """The pair has no source token to anchor a span to: extract and the
+    corrector data skip it, the detector data keeps it as a tokenless
+    record. A pair with both sides empty is still written."""
+    lines = ["a b\ta c", "\tx y", "\t", "c d\tc d"]
+    write_lines(tmp_path / "pairs.tsv", lines)
+    write_lines(tmp_path / "kept.tsv", lines[:1] + lines[2:])
+    for name in ("pairs", "kept"):
+        argv = {
+            "extract": ["-o", str(tmp_path / f"{name}.esc")],
+            "make-data": ["--esd-out", str(tmp_path / f"{name}.esd"),
+                          "--esc-out", str(tmp_path / f"{name}.esc"), "--sampled-ratio", "0"],
+        }[command]
+        with caplog.at_level(logging.INFO, logger="spangec"):
+            assert main([command, str(tmp_path / f"{name}.tsv"), *argv]) == 0
+    assert (tmp_path / "pairs.esc").read_bytes() == (tmp_path / "kept.esc").read_bytes()
+    assert len((tmp_path / "pairs.esc").read_text().splitlines()) == 3
+    if command == "make-data":
+        esd_lines = (tmp_path / "pairs.esd").read_text().splitlines()
+        kept = (tmp_path / "kept.esd").read_text().splitlines()
+        assert esd_lines == kept[:1] + ['{"tokens": [], "tags": []}'] + kept[1:]
+    message = {
+        "extract": "extract: skipped {} insertions into an empty source",
+        "make-data": "make-data: no corrector record for {} insertions into an empty source",
+    }[command]
+    logged = [r.getMessage() for r in caplog.records if "empty source" in r.getMessage()]
+    assert logged == [message.format(1), message.format(0)]
+
+
+def _distinct_case_files(root, small_models):
+    write_lines(root / "in.txt", ["a c", "a b"])
+    write_lines(root / "pairs.tsv", ["a b\ta c"])
+    write_lines(root / "esd.jsonl", ['{"tokens": ["a", "b"], "tags": [0, 1]}'])
+    write_lines(root / "esc.jsonl", ['{"rendered": "a <s1> b </s1>", "correction": "<s1> c </s1>"}'])
+    for model in ("esd", "esc"):
+        (root / model).write_bytes((small_models / model).read_bytes())
+    os.symlink(root / "pairs.tsv", root / "link.tsv")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "in.txt", "--esd-model", "esd", "--esc-model", "esc", "-o", "x",
+         "--report", "in.txt"],
+        ["run", "in.txt", "--esd-model", "esd", "--esc-model", "esc", "-o", "x",
+         "--report", "x"],
+        ["run", "in.txt", "--esd-model", "esd", "--esc-model", "esc", "-o", "esc"],
+        ["make-data", "pairs.tsv", "--esd-out", "x", "--esc-out", "x"],
+        ["make-data", "pairs.tsv", "--esd-out", "x", "--esc-out", "./pairs.tsv"],
+        ["extract", "pairs.tsv", "-o", "link.tsv"],
+        ["corrupt", "in.txt", "--vocab-file", "pairs.tsv", "-o", "pairs.tsv"],
+        ["train-esd", "esd.jsonl", "--model-out", "esd.jsonl"],
+        ["train-esc", "esc.jsonl", "--model-out", "esc.jsonl"],
+        ["eval", "--source", "in.txt", "--hypothesis", "in.txt", "--gold", "in.txt",
+         "-o", "in.txt"],
+        ["sweep", "pairs.tsv", "--esd-model", "esd", "-o", "esd"],
+    ],
+    ids=["run-report-input", "run-report-output", "run-output-model", "make-data-outputs",
+         "make-data-input", "extract-symlink", "corrupt-vocab", "train-esd", "train-esc",
+         "eval", "sweep"],
+)
+def test_no_output_names_another_path_of_the_command(
+    small_models, tmp_path, capsys, monkeypatch, argv
+):
+    _distinct_case_files(tmp_path, small_models)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "is the same file as" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_run_may_write_output_and_report_to_the_same_device(small_models):
+    argv = ["run", str(small_models / "in.txt"), "--esd-model", str(small_models / "esd"),
+            "--esc-model", str(small_models / "esc"), "-o", os.devnull, "--report", os.devnull]
+    assert main(argv) == 0
+
+
+def test_run_may_write_output_and_report_to_stdout(small_models, capsys, monkeypatch):
+    with open(small_models / "in.txt", "rb") as stdin:
+        monkeypatch.setattr("sys.stdin", stdin)
+        argv = ["run", "-", "--esd-model", str(small_models / "esd"), "--esc-model",
+                str(small_models / "esc"), "-o", "-", "--report", "-"]
+        assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["a c", "a c"]
+    assert json.loads(lines[2])["n_sentences"] == 2

@@ -1,8 +1,16 @@
-import pytest
+import json
+import os
+import tempfile
+from collections import Counter
+from typing import Optional
 
-from spangec.alignment import EditSpan, align, tokenize
-from spangec.annotation import annotate, merge_corrections, parse_correction
-from spangec.datagen import make_esc_gold
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spangec.alignment import EditSpan, TokenSeq, align, tokenize
+from spangec.annotation import CorrectionOutput, annotate, merge_corrections, parse_correction
+from spangec.datagen import EscInstance, make_esc_gold
 from spangec.errors import EmptyCorpusError
 from spangec.esc import (
     PhraseTableCorrector,
@@ -157,3 +165,129 @@ def test_correction_output_parse_against_markers():
     # model output in surface form round-trips through the parser
     corr = parse_correction(tokenize("<s1> to </s1> <s2> my hotel is . </s2>"))
     assert corr.segments == ((1, ("to",)), (2, tokenize("my hotel is .")))
+
+
+class TwoTableCorrector:
+    """The phrase table as it was kept before the one-table layout: a table
+    keyed by (context, span) and a span-only table, both filled by fit. The
+    reference that the one table must answer like."""
+
+    def __init__(self):
+        self._by_context: dict[tuple[Optional[str], TokenSeq], Counter] = {}
+        self._by_span: dict[TokenSeq, Counter] = {}
+
+    def fit(self, instances):
+        instances = list(instances)
+        if not instances:
+            raise EmptyCorpusError("no training instances")
+        for inst in instances:
+            by_number = dict(inst.correction.segments)
+            for k, span in enumerate(inst.annotated.spans, start=1):
+                if k not in by_number:
+                    continue
+                span_tokens = inst.annotated.source[span.src_start : span.src_end]
+                ctx = (
+                    inst.annotated.source[span.src_start - 1]
+                    if span.src_start > 0
+                    else None
+                )
+                repl = by_number[k]
+                key = (ctx, span_tokens)
+                self._by_context.setdefault(key, Counter())[repl] += 1
+                self._by_span.setdefault(span_tokens, Counter())[repl] += 1
+        return self
+
+    @staticmethod
+    def _best(counter: Counter) -> TokenSeq:
+        return min(counter, key=lambda repl: (-counter[repl], repl))
+
+    def lookup(self, ctx: Optional[str], span_tokens: TokenSeq) -> TokenSeq:
+        counter = self._by_context.get((ctx, span_tokens))
+        if counter:
+            return self._best(counter)
+        counter = self._by_span.get(span_tokens)
+        if counter:
+            return self._best(counter)
+        return span_tokens
+
+
+# "\x01" sorts below the space that joins tokens, so a tie broken on joined
+# texts would differ from one broken on token tuples.
+_TOKEN = st.sampled_from(["a", "b", "a\x01", "\x01", "ab", "é"])
+
+
+@st.composite
+def _instance(draw):
+    source = tuple(draw(st.lists(_TOKEN, min_size=1, max_size=6)))
+    points = sorted(set(draw(st.lists(st.integers(0, len(source)), max_size=6))))
+    spans = [EditSpan(start, end) for start, end in zip(points[::2], points[1::2])]
+    segments = tuple(
+        (k, tuple(draw(st.lists(_TOKEN, max_size=2))))  # empty: a deletion
+        for k in range(1, len(spans) + 1)
+        if draw(st.booleans())  # a span may have no segment
+    )
+    return EscInstance(annotate(source, spans), CorrectionOutput(segments))
+
+
+def _queries(instances):
+    """Every (context, span) the instances hold, and an unseen context and
+    an unseen span for each."""
+    seen = set()
+    for inst in instances:
+        source = inst.annotated.source
+        for span in inst.annotated.spans:
+            ctx = source[span.src_start - 1] if span.src_start > 0 else None
+            seen.add((ctx, source[span.src_start : span.src_end]))
+    return seen | {("zz", span) for _, span in seen} | {(ctx, ("zz",)) for ctx, _ in seen}
+
+
+@given(st.lists(_instance(), min_size=1, max_size=8), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_saved_and_loaded_table_answers_like_the_two_table_reference(instances, repeat):
+    instances = instances * repeat + instances[:1]  # more ties, and counts above 1
+    reference = TwoTableCorrector().fit(instances)
+    model = train_corrector(instances)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.esc")
+        model.save(path)
+        loaded = PhraseTableCorrector.load(path)
+        loaded.save(path + "2")
+        with open(path, "rb") as a, open(path + "2", "rb") as b:
+            assert a.read() == b.read()
+    for ctx, span in _queries(instances):
+        expected = reference.lookup(ctx, span)
+        assert model.lookup(ctx, span) == expected
+        assert loaded.lookup(ctx, span) == expected
+
+
+def test_tie_is_broken_on_token_tuples_not_joined_texts():
+    source = ("x", "s")
+    instances = [
+        EscInstance(annotate(source, [EditSpan(1, 2)]), CorrectionOutput(((1, repl),)))
+        for repl in (("a\x01",), ("a", "b"))
+    ]
+    assert train_corrector(instances).lookup("x", ("s",)) == ("a", "b")
+    assert TwoTableCorrector().fit(instances).lookup("x", ("s",)) == ("a", "b")
+
+
+def test_span_backoff_sums_the_counts_over_contexts(tmp_path):
+    """p is seen once in each of two contexts, q twice in a third: summed,
+    they tie at 2 and p wins the tie; by the largest single count q would."""
+    def instance(ctx, repl):
+        correction = CorrectionOutput(((1, (repl,)),))
+        return EscInstance(annotate((ctx, "s"), [EditSpan(1, 2)]), correction)
+
+    instances = [instance("x", "p"), instance("y", "p"), instance("z", "q"), instance("z", "q")]
+    path = str(tmp_path / "model.esc")
+    train_corrector(instances).save(path)
+    assert PhraseTableCorrector.load(path).lookup("w", ("s",)) == ("p",)
+    assert TwoTableCorrector().fit(instances).lookup("w", ("s",)) == ("p",)
+
+
+def test_saved_model_is_one_format_1_document(tmp_path):
+    path = tmp_path / "model.esc"
+    train_corrector(make_training_corpus()).save(str(path))
+    document = json.loads(path.read_text(encoding="utf-8"))
+    assert document["format"] == 1
+    assert document["counts"]["include"]["also"] == {"includes": 3}
+    assert document["counts"]["walk"]["he"] == {"walks": 1}
