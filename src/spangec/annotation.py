@@ -30,6 +30,8 @@ def fit_spans(spans: Sequence[EditSpan], merge_gap: int = 0) -> list[EditSpan]:
     at 0, not even adjacent spans), then across ever wider gaps until at
     most MAX_SPANS remain for the markers to number. After any merge pass no
     span carries a replacement; project_spans gives them."""
+    if merge_gap < 0:
+        raise ValueError("merge_gap must be non-negative")
     spans = merge_edits(spans, merge_gap) if merge_gap > 0 else list(spans)
     while len(spans) > MAX_SPANS:
         merge_gap += 1

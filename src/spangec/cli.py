@@ -1,11 +1,10 @@
 """Command-line front end for the span-detection + span-correction pipeline.
 
-Subcommands: extract, make-data, corrupt, train-esd, train-esc, run, eval,
-sweep. extract and make-data stream line by line, run a block of lines at a
-time; the others read their whole input first. Only extract, train-esd, run
-and sweep import the detector, and with it numpy. Exit codes are 0 (success),
-1 (usage), 2 (data error), 3 (model error). Set SPANGEC_LOG to control log
-verbosity.
+Subcommands: make-data, corrupt, train-esd, train-esc, run, eval, sweep.
+make-data streams line by line, run a block of lines at a time; the others
+read their whole input first. Only train-esd, run and sweep import the
+detector, and with it numpy. Exit codes are 0 (success), 1 (usage), 2 (data
+error), 3 (model error). Set SPANGEC_LOG to control log verbosity.
 """
 
 from __future__ import annotations
@@ -137,37 +136,11 @@ def _load_model(cls, path: str, what: str):
 # ---------------------------------------------------------------- commands
 
 
-def cmd_extract(args) -> int:
-    from . import esd
-    with _option_checks(args):
-        esd.DecodeConfig(merge_gap=args.merge_gap)
-
-    _check_distinct([args.input], [args.output])
-    skipped = 0
-
-    def record(line: str) -> Optional[str]:
-        nonlocal skipped
-        pair = _pair(line)
-        if pair is None:
-            return None
-        if not pair[0] and pair[1]:  # no token to anchor the insertion to
-            skipped += 1
-            return None
-        path = alignment.align(*pair)
-        spans = annotation.fit_spans(alignment.extract_edits(path), args.merge_gap)
-        instance = datagen.make_esc_from_spans(path, spans)
-        return annotation.to_json_record(instance.annotated, instance.correction)
-
-    with _open_in(args.input, record) as records, _open_out(args.output) as fout:
-        for _, text in records:
-            fout.write(text + "\n")
-    log.info("extract: skipped %d insertions into an empty source", skipped)
-    return 0
-
-
 def cmd_make_data(args) -> int:
     if not 0 <= args.sampled_ratio <= 1:
         args.parser.error("sampled_ratio must be in [0, 1]")
+    if args.merge_gap < 0:
+        args.parser.error("merge_gap must be non-negative")
     _check_distinct([args.input], [args.esd_out, args.esc_out])
     skipped = 0
     with contextlib.ExitStack() as stack:
@@ -189,7 +162,7 @@ def cmd_make_data(args) -> int:
             if source and rng.random() < args.sampled_ratio:
                 esc_inst = datagen.make_esc_sampled(path, rng)
             else:
-                esc_inst = datagen.make_esc_gold(path, spans)
+                esc_inst = datagen.make_esc_gold(path, spans, args.merge_gap)
             esc_record = annotation.to_json_record(esc_inst.annotated, esc_inst.correction)
             esc_out.write(esc_record + "\n")
     log.info("make-data: no corrector record for %d insertions into an empty source", skipped)
@@ -246,9 +219,11 @@ def cmd_train_esd(args) -> int:
     from . import esd
     if args.epochs < 1:
         args.parser.error("epochs must be at least 1")
+    with _option_checks(args):
+        tagger = esd.EsdTagger(epochs=args.epochs, seed=args.seed)
     _check_distinct([args.input], [args.model_out])
     instances = _read_records(args.input, _esd_record)
-    model = esd.train_tagger(instances, epochs=args.epochs, seed=args.seed)
+    model = tagger.fit(instances)
     for epoch, mistakes in enumerate(model.epoch_mistakes, start=1):
         log.info("detector epoch %d/%d: %d perceptron mistakes", epoch, args.epochs, mistakes)
     model.save(args.model_out)
@@ -349,18 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spangec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", parents=[], help="gold spans from a parallel TSV")
-    p.add_argument("input", help="parallel TSV (source<TAB>target), or - for stdin")
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--merge-gap", type=int, default=0)
-    p.set_defaults(func=cmd_extract)
-
     p = sub.add_parser("make-data", help="detector + corrector training data")
     p.add_argument("input")
     p.add_argument("--esd-out", required=True)
     p.add_argument("--esc-out", required=True)
     p.add_argument("--sampled-ratio", type=float, default=0.5,
                    help="fraction of corrector instances using sampled spans")
+    p.add_argument("--merge-gap", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_make_data)
 
@@ -419,10 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("SPANGEC_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("SPANGEC_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"spangec: error: SPANGEC_LOG must be DEBUG, INFO, WARNING, ERROR or CRITICAL, "
+              f"not {level!r}", file=sys.stderr)
+        return EXIT_USAGE
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -102,14 +102,15 @@ def make_esc_from_spans(path: AlignmentPath, spans: Sequence[EditSpan]) -> EscIn
 
 
 def make_esc_gold(
-    path: AlignmentPath, spans: Optional[Sequence[EditSpan]] = None
+    path: AlignmentPath, spans: Optional[Sequence[EditSpan]] = None, merge_gap: int = 0
 ) -> EscInstance:
-    """Corrector instance over the gold edit spans, with the replacements
-    extract_edits made; spans, when given, must be extract_edits(path).
-    Spans fused to fit the markers take projected replacements."""
+    """Corrector instance over the gold edit spans, fitted by `fit_spans` at
+    merge_gap, with the replacements extract_edits made; spans, when given,
+    must be extract_edits(path). Fused spans take projected replacements."""
     spans = extract_edits(path) if spans is None else spans
-    if len(fit_spans(spans)) < len(spans):
-        return make_esc_from_spans(path, spans)
+    fitted = fit_spans(spans, merge_gap)
+    if len(fitted) < len(spans):
+        return make_esc_from_spans(path, fitted)
     segments = tuple(enumerate((span.replacement for span in spans), start=1))
     return EscInstance(annotate(path.source, spans), CorrectionOutput(segments))
 

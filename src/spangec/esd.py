@@ -135,6 +135,11 @@ class EsdTagger:
     """
 
     def __init__(self, epochs: int = 5, seed: int = 0):
+        # The saved header holds epochs as uint32 and the seed as int64.
+        if not 0 <= epochs < 2**32:
+            raise ValueError("epochs must be in [0, 2**32)")
+        if not -(2**63) <= seed < 2**63:
+            raise ValueError("seed must be in [-2**63, 2**63)")
         self.epochs = epochs
         self.seed = seed
         self.weights: np.ndarray | None = None

@@ -328,3 +328,8 @@ def test_fit_spans_equals_the_widening_loop(spans, merge_gap):
     assert all(i in covered for span in spans for i in range(span.src_start, span.src_end))
     if merge_gap == 0 and len(spans) <= MAX_SPANS:
         assert fitted == spans  # nothing fuses, replacements and all
+
+
+def test_fit_spans_rejects_a_negative_gap():
+    with pytest.raises(ValueError, match="merge_gap must be non-negative"):
+        fit_spans([EditSpan(0, 1)], -1)

@@ -1,23 +1,32 @@
+import argparse
 import json
 import logging
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synthlang
 from spangec import datagen, pipeline
 from spangec.alignment import align, detokenize, extract_edits, tokenize
-from spangec.annotation import from_json_record, merge_corrections, parse_annotation
-from spangec.cli import main
-from spangec.datagen import EsdInstance, make_esc_gold, make_esd_instance
+from spangec.annotation import (
+    fit_spans,
+    from_json_record,
+    merge_corrections,
+    parse_annotation,
+    to_json_record,
+)
+from spangec.cli import build_parser, main
+from spangec.datagen import EsdInstance, make_esc_from_spans, make_esc_gold, make_esd_instance
 from spangec.esc import train_corrector
 from spangec.esd import N_BUCKETS, DecodeConfig, decode_spans, train_tagger
 
@@ -99,9 +108,15 @@ def test_unknown_command_exit_code():
     assert exc.value.code == 1
 
 
+def gold_records(pairs, *options):
+    """make-data's argv for the gold-span corrector records of pairs alone."""
+    return ["make-data", str(pairs), "--sampled-ratio", "0", "--esd-out", os.devnull, *options]
+
+
 def test_extract_identity_pairs(tmp_path):
+    """Gold-span extraction in make-data finds no span in identical pairs."""
     write_lines(tmp_path / "pairs.tsv", ["a b c\ta b c", "x y\tx y"])
-    assert main(["extract", str(tmp_path / "pairs.tsv"), "-o", str(tmp_path / "out.jsonl")]) == 0
+    assert main(gold_records(tmp_path / "pairs.tsv", "--esc-out", str(tmp_path / "out.jsonl"))) == 0
     records = [json.loads(l) for l in (tmp_path / "out.jsonl").read_text().splitlines()]
     assert all(parse_annotation(tokenize(r["rendered"])).spans == () for r in records)
     assert records[0]["rendered"] == "a b c"
@@ -115,8 +130,8 @@ def test_extract_table6_pair(tmp_path):
             "The law 's spirit also includes fairness ."
         ],
     )
-    assert main(["extract", str(tmp_path / "pairs.tsv"), "-o", str(tmp_path / "o.jsonl"),
-                 "--merge-gap", "1"]) == 0
+    argv = gold_records(tmp_path / "pairs.tsv", "--esc-out", str(tmp_path / "o.jsonl"))
+    assert main(argv + ["--merge-gap", "1"]) == 0
     record = json.loads((tmp_path / "o.jsonl").read_text())
     assert "<s1>" in record["rendered"]
     assert record["correction"].startswith("<s1>")
@@ -124,12 +139,12 @@ def test_extract_table6_pair(tmp_path):
 
 def test_extract_bad_tsv_exit_code(tmp_path):
     write_lines(tmp_path / "bad.tsv", ["only one field"])
-    assert main(["extract", str(tmp_path / "bad.tsv")]) == 2
+    assert main(gold_records(tmp_path / "bad.tsv", "--esc-out", str(tmp_path / "o.jsonl"))) == 2
 
 
 def test_reserved_marker_in_input_is_data_error(tmp_path):
     write_lines(tmp_path / "bad.tsv", ["hello <s1> there\thello there"])
-    assert main(["extract", str(tmp_path / "bad.tsv")]) == 2
+    assert main(gold_records(tmp_path / "bad.tsv", "--esc-out", str(tmp_path / "o.jsonl"))) == 2
 
 
 def test_corrupt_zero_probabilities_identity(tmp_path):
@@ -283,7 +298,7 @@ def test_bad_training_record_exit_code(tmp_path, command, record):
 
 
 @pytest.mark.parametrize(
-    "command", ["make-data", "extract", "corrupt", "train-esd", "train-esc", "run", "eval"]
+    "command", ["make-data", "corrupt", "train-esd", "train-esc", "run", "eval"]
 )
 def test_invalid_utf8_exit_code(small_models, tmp_path, command):
     bad = str(tmp_path / "bad.txt")
@@ -291,7 +306,6 @@ def test_invalid_utf8_exit_code(small_models, tmp_path, command):
     out = str(tmp_path / "out")
     argv = {
         "make-data": [bad, "--esd-out", out, "--esc-out", out + "2"],
-        "extract": [bad, "-o", out],
         "corrupt": [bad, "-o", out],
         "train-esd": [bad, "--model-out", out],
         "train-esc": [bad, "--model-out", out],
@@ -335,7 +349,9 @@ def test_invalid_utf8_on_stdin_names_line(tmp_path, capsys, monkeypatch):
         ("make-data", "--sampled-ratio", "7"),
         ("corrupt", "--p-insert", "2"),
         ("train-esd", "--epochs", "-1"),
-        ("extract", "--merge-gap", "-1"),
+        ("train-esd", "--epochs", str(2**32)),
+        ("train-esd", "--seed", str(2**63)),
+        ("make-data", "--merge-gap", "-1"),
     ],
 )
 def test_bad_option_value_is_usage_error(small_models, tmp_path, capsys, command, option, value):
@@ -349,7 +365,6 @@ def test_bad_option_value_is_usage_error(small_models, tmp_path, capsys, command
         "make-data": [str(tmp_path / "pairs.tsv"), "--esd-out", str(out), "--esc-out", str(out)],
         "corrupt": [str(small_models / "in.txt"), "-o", str(out)],
         "train-esd": [str(tmp_path / "esd.jsonl"), "--model-out", str(out)],
-        "extract": [str(tmp_path / "pairs.tsv"), "-o", str(out)],
     }[command]
     with pytest.raises(SystemExit) as exc:
         main([command, *argv, option, value])
@@ -638,6 +653,8 @@ commands = [
     ["train-esc", f"{root}/esc.jsonl", "--model-out", f"{out}/esc.model"],
     ["make-data", f"{root}/pairs.tsv", "--esd-out", f"{out}/esd.jsonl",
      "--esc-out", f"{out}/esc.jsonl"],
+    ["make-data", f"{root}/pairs.tsv", "--esd-out", f"{out}/esd.jsonl",
+     "--esc-out", f"{out}/esc.jsonl", "--sampled-ratio", "0", "--merge-gap", "2"],
     ["eval", "--source", f"{root}/clean.txt", "--hypothesis", f"{root}/clean.txt",
      "--gold", f"{root}/clean.txt", "-o", f"{out}/eval.json"],
     ["corrupt", f"{root}/clean.txt", "--p-swap", "0.1", "-o", f"{out}/pairs.tsv"],
@@ -826,7 +843,7 @@ def test_end_to_end_oracle_style_round_trip(tmp_path):
     assert (tmp_path / "out.txt").read_text().splitlines() == [t for _, t in pairs]
 
 
-@pytest.mark.parametrize("command", ["extract", "make-data"])
+@pytest.mark.parametrize("command", ["make-data"])
 def test_more_gold_spans_than_markers_fuse_as_run_fuses_them(tmp_path, command):
     """70 one-token edits do not fit 64 markers: the record's spans are the
     ones run would fuse from the gold tags, and still rebuild the target."""
@@ -834,12 +851,9 @@ def test_more_gold_spans_than_markers_fuse_as_run_fuses_them(tmp_path, command):
     target = tuple(tok for i in range(70) for tok in (f"v{i}", "k"))
     write_lines(tmp_path / "pairs.tsv", [detokenize(source) + "\t" + detokenize(target)])
     out = tmp_path / "esc.jsonl"
-    argv = {
-        "extract": ["-o", str(out)],
-        "make-data": ["--esd-out", str(tmp_path / "esd.jsonl"), "--esc-out", str(out),
-                      "--sampled-ratio", "0"],
-    }[command]
-    assert main([command, str(tmp_path / "pairs.tsv"), *argv]) == 0
+    argv = [command, str(tmp_path / "pairs.tsv"), "--esd-out", str(tmp_path / "esd.jsonl"),
+            "--esc-out", str(out), "--sampled-ratio", "0"]
+    assert main(argv) == 0
     annotated, correction = from_json_record(out.read_text(encoding="utf-8"))
     tags = make_esd_instance(align(source, target)).tags
     assert len(extract_edits(align(source, target))) == 70
@@ -847,8 +861,106 @@ def test_more_gold_spans_than_markers_fuse_as_run_fuses_them(tmp_path, command):
     assert merge_corrections(annotated, correction) == target
 
 
+def extract_reference(source, target, merge_gap):
+    """The corrector record that the removed `extract` command wrote for a
+    pair, or None for a pair it skipped; its record builder, verbatim."""
+    if not source and target:  # no token to anchor the insertion to
+        return None
+    path = align(source, target)
+    spans = fit_spans(extract_edits(path), merge_gap)
+    instance = make_esc_from_spans(path, spans)
+    return to_json_record(instance.annotated, instance.correction)
+
+
+_WORDS = st.sampled_from(["a", "b", "c", "d"])
+
+
+@st.composite
+def parallel_pairs(draw):
+    """1-4 pairs over a four-word alphabet: unrelated sentences, sentences
+    with an edit next to every other token (up to 100 edits), and empty
+    sources."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["unrelated", "edited", "empty source"]))
+        if kind == "edited":
+            source, target = [], []
+            for word in draw(st.lists(_WORDS, max_size=100)):
+                edit = draw(st.sampled_from(["keep", "replace", "delete", "insert"]))
+                source += [word, "k"]
+                target += {"keep": [word], "replace": ["x"], "delete": [],
+                           "insert": [word, "x"]}[edit] + ["k"]
+        else:
+            source = [] if kind == "empty source" else draw(st.lists(_WORDS, max_size=30))
+            target = draw(st.lists(_WORDS, max_size=30))
+        pairs.append((tuple(source), tuple(target)))
+    return pairs
+
+
+@given(parallel_pairs())
+@example([(("w", "k") * 70, ("v", "k") * 70), ((), ("x",)), ((), ())])
+@settings(max_examples=40, deadline=None)
+def test_make_data_writes_the_records_extract_wrote(pairs):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_lines(root / "pairs.tsv", [detokenize(s) + "\t" + detokenize(t) for s, t in pairs])
+        esd_files = set()
+        for gap in range(4):
+            esc, esd = root / f"{gap}.esc", root / f"{gap}.esd"
+            argv = ["make-data", str(root / "pairs.tsv"), "--esd-out", str(esd),
+                    "--esc-out", str(esc), "--sampled-ratio", "0", "--merge-gap", str(gap)]
+            assert main(argv) == 0
+            expected = [extract_reference(s, t, gap) for s, t in pairs]
+            assert esc.read_text(encoding="utf-8").splitlines() == [
+                record for record in expected if record is not None
+            ]
+            esd_files.add(esd.read_bytes())
+        assert len(esd_files) == 1
+
+
+@pytest.mark.parametrize("level", ["verbose", "10", ""])
+def test_an_unknown_log_level_is_a_usage_error(tmp_path, level):
+    write_lines(tmp_path / "s.txt", ["a b"])
+    argv = ["eval", "--source", "s.txt", "--hypothesis", "s.txt", "--gold", "s.txt", "-o", "m"]
+    env = dict(os.environ, SPANGEC_LOG=level,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-m", "spangec.cli", *argv], cwd=tmp_path,
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        f"spangec: error: SPANGEC_LOG must be DEBUG, INFO, WARNING, ERROR or CRITICAL, "
+        f"not {level!r}"
+    ]
+    assert not (tmp_path / "m").exists()
+
+
+def test_readme_cli_block_lists_every_command_and_option():
+    """Each command of the parser has one line in the README's CLI block,
+    and that line names exactly the command's options (by any alias)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    usage = re.sub(r"\\\n\s*", " ", block)  # join continued lines
+    listed = {}
+    for line in usage.splitlines():
+        if line.startswith("spangec "):
+            command = line.split()[1]
+            assert command not in listed, command
+            listed[command] = set(re.findall(r"(?<![\w-])(--?[a-z][\w-]*)", line))
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(listed) == set(subparsers.choices)
+    for command, parser in subparsers.choices.items():
+        aliases = [action.option_strings for action in parser._actions
+                   if action.option_strings and action.dest != "help"]
+        assert listed[command] == {
+            option for options in aliases for option in options if option in listed[command]
+        }, command
+        assert all(listed[command] & set(options) for options in aliases), command
+
+
 _GOOD_LINES = {
-    "extract": "a b\ta c",
     "make-data": "a b\ta c",
     "run": "a b",
     "sweep": "a b\ta c",
@@ -860,7 +972,7 @@ _GOOD_LINES = {
 @pytest.mark.parametrize(
     "command, bad",
     [
-        pytest.param("extract", "only one field", id="extract-fields"),
+        pytest.param("make-data", "only one field", id="make-data-fields"),
         pytest.param("make-data", "a b\ta <s1> c", id="make-data-marker"),
         pytest.param("run", "a <s1> b", id="run"),
         pytest.param("sweep", "a\tb\tc", id="sweep"),
@@ -877,7 +989,6 @@ def test_a_bad_line_is_a_data_error_naming_file_and_line(
     write_lines(data, [good, good, bad, good])
     out = str(tmp_path / "out")
     argv = {
-        "extract": ["-o", out],
         "make-data": ["--esd-out", out, "--esc-out", out + "2"],
         "run": ["--esd-model", str(small_models / "esd"), "--esc-model",
                 str(small_models / "esc"), "-o", out],
@@ -910,32 +1021,25 @@ def test_sweep_on_an_empty_source(small_models, tmp_path):
     assert [row["threshold"] for row in rows] == list(pipeline.SWEEP_THRESHOLDS)
 
 
-@pytest.mark.parametrize("command", ["extract", "make-data"])
+@pytest.mark.parametrize("command", ["make-data"])
 def test_an_insertion_into_an_empty_source_is_skipped(tmp_path, caplog, command):
-    """The pair has no source token to anchor a span to: extract and the
-    corrector data skip it, the detector data keeps it as a tokenless
-    record. A pair with both sides empty is still written."""
+    """The pair has no source token to anchor a span to: the corrector data
+    skip it, the detector data keep it as a tokenless record. A pair with
+    both sides empty is still written."""
     lines = ["a b\ta c", "\tx y", "\t", "c d\tc d"]
     write_lines(tmp_path / "pairs.tsv", lines)
     write_lines(tmp_path / "kept.tsv", lines[:1] + lines[2:])
     for name in ("pairs", "kept"):
-        argv = {
-            "extract": ["-o", str(tmp_path / f"{name}.esc")],
-            "make-data": ["--esd-out", str(tmp_path / f"{name}.esd"),
-                          "--esc-out", str(tmp_path / f"{name}.esc"), "--sampled-ratio", "0"],
-        }[command]
+        argv = [command, str(tmp_path / f"{name}.tsv"), "--esd-out", str(tmp_path / f"{name}.esd"),
+                "--esc-out", str(tmp_path / f"{name}.esc"), "--sampled-ratio", "0"]
         with caplog.at_level(logging.INFO, logger="spangec"):
-            assert main([command, str(tmp_path / f"{name}.tsv"), *argv]) == 0
+            assert main(argv) == 0
     assert (tmp_path / "pairs.esc").read_bytes() == (tmp_path / "kept.esc").read_bytes()
     assert len((tmp_path / "pairs.esc").read_text().splitlines()) == 3
-    if command == "make-data":
-        esd_lines = (tmp_path / "pairs.esd").read_text().splitlines()
-        kept = (tmp_path / "kept.esd").read_text().splitlines()
-        assert esd_lines == kept[:1] + ['{"tokens": [], "tags": []}'] + kept[1:]
-    message = {
-        "extract": "extract: skipped {} insertions into an empty source",
-        "make-data": "make-data: no corrector record for {} insertions into an empty source",
-    }[command]
+    esd_lines = (tmp_path / "pairs.esd").read_text().splitlines()
+    kept = (tmp_path / "kept.esd").read_text().splitlines()
+    assert esd_lines == kept[:1] + ['{"tokens": [], "tags": []}'] + kept[1:]
+    message = "make-data: no corrector record for {} insertions into an empty source"
     logged = [r.getMessage() for r in caplog.records if "empty source" in r.getMessage()]
     assert logged == [message.format(1), message.format(0)]
 
@@ -960,7 +1064,7 @@ def _distinct_case_files(root, small_models):
         ["run", "in.txt", "--esd-model", "esd", "--esc-model", "esc", "-o", "esc"],
         ["make-data", "pairs.tsv", "--esd-out", "x", "--esc-out", "x"],
         ["make-data", "pairs.tsv", "--esd-out", "x", "--esc-out", "./pairs.tsv"],
-        ["extract", "pairs.tsv", "-o", "link.tsv"],
+        ["make-data", "pairs.tsv", "--esd-out", os.devnull, "--esc-out", "link.tsv"],
         ["corrupt", "in.txt", "--vocab-file", "pairs.tsv", "-o", "pairs.tsv"],
         ["train-esd", "esd.jsonl", "--model-out", "esd.jsonl"],
         ["train-esc", "esc.jsonl", "--model-out", "esc.jsonl"],
@@ -969,7 +1073,7 @@ def _distinct_case_files(root, small_models):
         ["sweep", "pairs.tsv", "--esd-model", "esd", "-o", "esd"],
     ],
     ids=["run-report-input", "run-report-output", "run-output-model", "make-data-outputs",
-         "make-data-input", "extract-symlink", "corrupt-vocab", "train-esd", "train-esc",
+         "make-data-input", "make-data-symlink", "corrupt-vocab", "train-esd", "train-esc",
          "eval", "sweep"],
 )
 def test_no_output_names_another_path_of_the_command(
