@@ -16,7 +16,6 @@ from .alignment import (
     apply_spans,
     detokenize,
     extract_edits,
-    merge_edits,
     project_spans,
     tokenize,
     validate_spans,
@@ -52,7 +51,6 @@ from .metrics import (
     EfficiencyReport,
     correction_metrics,
     detection_metrics,
-    efficiency_report,
     f_beta,
 )
 
@@ -97,14 +95,12 @@ __all__ = [
     "decode_spans",
     "detection_metrics",
     "detokenize",
-    "efficiency_report",
     "extract_edits",
     "f_beta",
     "make_esc_gold",
     "make_esc_sampled",
     "make_esd_instance",
     "merge_corrections",
-    "merge_edits",
     "oracle_correct",
     "parse_annotation",
     "parse_correction",

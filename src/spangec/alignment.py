@@ -227,24 +227,6 @@ def extract_edits(path: AlignmentPath) -> list[EditSpan]:
     ]
 
 
-def merge_edits(spans: Sequence[EditSpan], max_gap: int) -> list[EditSpan]:
-    """Fuse the bounds of consecutive spans separated by at most max_gap
-    unedited tokens. The result carries no replacements; project_spans
-    gives them. max_gap=0 still fuses adjacent spans, where one ends at the
-    next one's start; extract_edits can emit such spans, e.g. [0,1) and
-    [1,2) for a b c -> x b y c.
-    """
-    if max_gap < 0:
-        raise ValueError("max_gap must be non-negative")
-    merged: list[EditSpan] = []
-    for span in spans:
-        if merged and span.src_start - merged[-1].src_end <= max_gap:
-            merged[-1] = EditSpan(merged[-1].src_start, span.src_end)
-        else:
-            merged.append(EditSpan(span.src_start, span.src_end))
-    return merged
-
-
 def apply_spans(source: Sequence[str], spans: Iterable[EditSpan]) -> TokenSeq:
     """Replace each span's source tokens by its replacement, left to right."""
     src = tuple(source)

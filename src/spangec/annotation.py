@@ -15,11 +15,10 @@ rejected at ingestion so parsing is unambiguous.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .alignment import EditSpan, TokenSeq, detokenize, merge_edits, tokenize, validate_spans
+from .alignment import EditSpan, TokenSeq, detokenize, tokenize, validate_spans
 from .errors import DataError, MalformedMarkersError, OverlapError, ReservedTokenError
 
 MAX_SPANS = 64
@@ -27,20 +26,24 @@ MAX_SPANS = 64
 
 def fit_spans(spans: Sequence[EditSpan], merge_gap: int = 0) -> list[EditSpan]:
     """The spans fused across gaps of up to merge_gap tokens (nothing fuses
-    at 0, not even adjacent spans), then across ever wider gaps until at
-    most MAX_SPANS remain for the markers to number. After any merge pass no
-    span carries a replacement; project_spans gives them."""
+    at 0, not even adjacent spans), or across the smallest wider gap that
+    leaves at most MAX_SPANS for the markers to number. Fused spans carry
+    no replacement; project_spans gives them."""
     if merge_gap < 0:
         raise ValueError("merge_gap must be non-negative")
-    spans = merge_edits(spans, merge_gap) if merge_gap > 0 else list(spans)
-    while len(spans) > MAX_SPANS:
-        merge_gap += 1
-        spans = merge_edits(spans, merge_gap)
-    return spans
-
-
-# <sK> or </sK> for K in 1..99; only K <= MAX_SPANS is reserved.
-_MARKER = re.compile(r"<(/?)s([1-9][0-9]?)>")
+    if len(spans) > MAX_SPANS:
+        # Fusing at gap g leaves one span per original gap wider than g.
+        gaps = sorted((b.src_start - a.src_end for a, b in zip(spans, spans[1:])), reverse=True)
+        merge_gap = max(merge_gap, gaps[MAX_SPANS - 1], 1)
+    elif merge_gap == 0:
+        return list(spans)
+    fused: list[EditSpan] = []
+    for span in spans:
+        if fused and span.src_start - fused[-1].src_end <= merge_gap:
+            fused[-1] = EditSpan(fused[-1].src_start, span.src_end)
+        else:
+            fused.append(EditSpan(span.src_start, span.src_end))
+    return fused
 
 
 def open_marker(k: int) -> str:
@@ -51,29 +54,38 @@ def close_marker(k: int) -> str:
     return f"</s{k}>"
 
 
-def _marker_number(token: str) -> tuple[Optional[int], bool]:
-    """Return (span number, is_close) or (None, False) for a normal token."""
-    m = _MARKER.fullmatch(token)
-    if m and int(m.group(2)) <= MAX_SPANS:
-        return int(m.group(2)), m.group(1) == "/"
-    return None, False
+# The reserved tokens <sK> and </sK> for K in 1..MAX_SPANS: (K, is_close).
+_MARKERS = {open_marker(k): (k, False) for k in range(1, MAX_SPANS + 1)}
+_MARKERS.update({close_marker(k): (k, True) for k in range(1, MAX_SPANS + 1)})
 
 
 def check_no_reserved(tokens: Sequence[str]) -> None:
     """Reject text that uses a reserved marker token literally."""
-    if any(map(_MARKER.fullmatch, tokens)):  # one C-level scan; a hit is rare
-        for tok in tokens:
-            if _marker_number(tok)[0] is not None:
-                raise ReservedTokenError(f"token {tok!r} is a reserved span marker")
+    if not _MARKERS.keys().isdisjoint(tokens):  # one C-level scan; a hit is rare
+        tok = next(tok for tok in tokens if tok in _MARKERS)
+        raise ReservedTokenError(f"token {tok!r} is a reserved span marker")
 
 
 @dataclass(frozen=True)
 class AnnotatedSentence:
-    """Source tokens plus spans, with the marker-bearing rendering."""
+    """Source tokens plus spans; `rendered` puts the markers in."""
 
     source: TokenSeq
     spans: tuple[EditSpan, ...]
-    rendered: TokenSeq
+
+    @property
+    def rendered(self) -> TokenSeq:
+        """The source with <sK> ... </sK> around span K, numbered from 1."""
+        out: list[str] = []
+        cursor = 0
+        for k, span in enumerate(self.spans, start=1):
+            out += self.source[cursor : span.src_start]
+            out.append(open_marker(k))
+            out += self.source[span.src_start : span.src_end]
+            out.append(close_marker(k))
+            cursor = span.src_end
+        out += self.source[cursor:]
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -84,61 +96,60 @@ class CorrectionOutput:
 
 
 def annotate(source: Sequence[str], spans: Sequence[EditSpan]) -> AnnotatedSentence:
-    """Insert open/close marker tokens around each span, K numbered from 1."""
+    """The source and its spans, which must be sorted, disjoint, in range
+    and at most MAX_SPANS; the source may not hold a reserved marker."""
     src = tuple(source)
     check_no_reserved(src)
     validate_spans(spans, len(src))
     if len(spans) > MAX_SPANS:
         raise OverlapError(f"at most {MAX_SPANS} spans per sentence")
-    rendered: list[str] = []
-    cursor = 0
-    for k, span in enumerate(spans, start=1):
-        rendered.extend(src[cursor : span.src_start])
-        rendered.append(open_marker(k))
-        rendered.extend(src[span.src_start : span.src_end])
-        rendered.append(close_marker(k))
-        cursor = span.src_end
-    rendered.extend(src[cursor:])
-    return AnnotatedSentence(source=src, spans=tuple(spans), rendered=tuple(rendered))
+    return AnnotatedSentence(source=src, spans=tuple(spans))
+
+
+def _pieces(tokens: Sequence[str]) -> Iterator[tuple[Optional[int], TokenSeq]]:
+    """The tokens cut at the markers, in order: (None, run) for each run
+    outside marker pairs, empty runs included, and (K, inside) for each
+    <sK> ... </sK>. Pairs may not nest, and every marker must be paired."""
+    tokens = tuple(tokens)
+    open_num: Optional[int] = None
+    start = 0
+    for i in [i for i, tok in enumerate(tokens) if tok in _MARKERS]:
+        num, is_close = _MARKERS[tokens[i]]
+        if not is_close:
+            if open_num is not None:
+                raise MalformedMarkersError(f"nested marker {tokens[i]!r}")
+            yield None, tokens[start:i]
+            open_num = num
+        elif num == open_num:
+            yield num, tokens[start:i]
+            open_num = None
+        else:
+            raise MalformedMarkersError(f"unbalanced close marker {tokens[i]!r}")
+        start = i + 1
+    if open_num is not None:
+        raise MalformedMarkersError(f"marker <s{open_num}> never closed")
+    yield None, tokens[start:]
 
 
 def parse_annotation(rendered: Sequence[str]) -> AnnotatedSentence:
     """Inverse of annotate: recover source tokens and span ranges.
 
-    Markers must be non-nested, balanced and numbered 1..n left to right.
+    Markers must be non-nested, balanced and numbered 1..n left to right,
+    and no span may be empty.
     """
     source: list[str] = []
     spans: list[EditSpan] = []
-    open_num: Optional[int] = None
-    span_start = 0
-    expected = 1
-    for tok in rendered:
-        num, is_close = _marker_number(tok)
-        if num is None:
-            source.append(tok)
-            continue
-        if not is_close:
-            if open_num is not None:
-                raise MalformedMarkersError(f"nested marker {tok!r}")
-            if num != expected:
+    for num, piece in _pieces(rendered):
+        if num is not None:
+            if num != len(spans) + 1:
                 raise MalformedMarkersError(
-                    f"expected marker <s{expected}>, found {tok!r}"
+                    f"expected marker <s{len(spans) + 1}>, found {open_marker(num)!r}"
                 )
-            open_num = num
-            span_start = len(source)
-        else:
-            if open_num != num:
-                raise MalformedMarkersError(f"unbalanced close marker {tok!r}")
-            if len(source) == span_start:
+            if not piece:
                 raise MalformedMarkersError(f"empty span {num}")
-            spans.append(EditSpan(span_start, len(source)))
-            open_num = None
-            expected = num + 1
-    if open_num is not None:
-        raise MalformedMarkersError(f"marker <s{open_num}> never closed")
-    return AnnotatedSentence(
-        source=tuple(source), spans=tuple(spans), rendered=tuple(rendered)
-    )
+            spans.append(EditSpan(len(source), len(source) + len(piece)))
+        source += piece
+    return AnnotatedSentence(source=tuple(source), spans=tuple(spans))
 
 
 def parse_correction(output_tokens: Sequence[str]) -> CorrectionOutput:
@@ -148,28 +159,10 @@ def parse_correction(output_tokens: Sequence[str]) -> CorrectionOutput:
     A duplicated span number keeps its first occurrence.
     """
     segments: dict[int, TokenSeq] = {}
-    open_num: Optional[int] = None
-    buffer: list[str] = []
-    for tok in output_tokens:
-        num, is_close = _marker_number(tok)
-        if num is None:
-            if open_num is not None:
-                buffer.append(tok)
-            continue
-        if not is_close:
-            if open_num is not None:
-                raise MalformedMarkersError(f"nested marker {tok!r}")
-            open_num = num
-            buffer = []
-        else:
-            if open_num != num:
-                raise MalformedMarkersError(f"unbalanced close marker {tok!r}")
-            segments.setdefault(num, tuple(buffer))
-            open_num = None
-    if open_num is not None:
-        raise MalformedMarkersError(f"marker <s{open_num}> never closed")
-    ordered = tuple(sorted(segments.items()))
-    return CorrectionOutput(segments=ordered)
+    for num, piece in _pieces(output_tokens):
+        if num is not None:
+            segments.setdefault(num, piece)
+    return CorrectionOutput(segments=tuple(sorted(segments.items())))
 
 
 def render_correction(corr: CorrectionOutput) -> TokenSeq:

@@ -204,7 +204,8 @@ def _esd_record(line: str) -> Optional[datagen.EsdInstance]:
     tokens, tags = record["tokens"], record["tags"]
     if not (isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens)):
         raise DataError("tokens must be a list of strings")
-    if not isinstance(tags, list):
+    # True and 1.0 equal 1, so EsdInstance's check of the values would pass them.
+    if not (isinstance(tags, list) and set(map(type, tags)) <= {int}):
         raise DataError("tags must be a list of 0s and 1s")
     return datagen.EsdInstance(tokens=tuple(tokens), tags=tuple(tags))
 

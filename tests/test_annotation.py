@@ -6,12 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spangec.alignment import EditSpan, align, detokenize, extract_edits, merge_edits, tokenize
+from span_references import (
+    reference_merge_edits,
+    reference_parse_annotation,
+    reference_parse_correction,
+    reference_render,
+)
+from spangec import annotation
+from spangec.alignment import EditSpan, align, detokenize, extract_edits, tokenize
 from spangec.annotation import (
     MAX_SPANS,
     AnnotatedSentence,
     CorrectionOutput,
-    _marker_number,
+    _MARKERS,
     annotate,
     check_no_reserved,
     fit_spans,
@@ -67,8 +74,8 @@ def test_annotate_rejects_reserved_tokens():
         annotate(tokenize("hello <s1> there"), [])
 
 
-# Reference marker rule: the two-regex code the single pattern replaced,
-# copied verbatim.
+# Reference marker rule: the two-regex code that a single pattern, and then
+# the table of reserved tokens, replaced, copied verbatim.
 _OPEN_RE = re.compile(r"^<s([1-9][0-9]?)>$")
 _CLOSE_RE = re.compile(r"^</s([1-9][0-9]?)>$")
 
@@ -99,7 +106,7 @@ _MARKER_LIKE = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_marker_rule_equals_reference(tokens):
     reference = [reference_marker_number(tok) for tok in tokens]
-    assert [_marker_number(tok) for tok in tokens] == reference
+    assert [_MARKERS.get(tok, (None, False)) for tok in tokens] == reference
     if any(num is not None for num, _ in reference):
         with pytest.raises(ReservedTokenError):
             check_no_reserved(tokens)
@@ -174,6 +181,30 @@ def test_parse_correction_keeps_first_duplicate():
 def test_parse_correction_unbalanced():
     with pytest.raises(MalformedMarkersError):
         parse_correction(tokenize("<s1> x </s2>"))
+
+
+_SOUP_TOKENS = ["a", "b", "<s1>", "<s2>", "<s3>", "</s1>", "</s2>", "</s3>",
+                "<s64>", "</s64>", "<s65>"]
+
+
+def outcome(read, tokens):
+    """What read gives for tokens, or the class of the exception it raises."""
+    try:
+        return read(tokens)
+    except Exception as exc:
+        return type(exc)
+
+
+@given(st.lists(st.sampled_from(_SOUP_TOKENS), max_size=9))
+@settings(max_examples=1000, deadline=None)
+def test_marker_readers_equal_the_references(tokens):
+    parsed = outcome(parse_annotation, tokens)
+    if isinstance(parsed, AnnotatedSentence):
+        parsed = (parsed.source, parsed.spans, parsed.rendered)
+        source, spans, rendered = parsed
+        assert annotate(source, spans).rendered == reference_render(source, spans) == rendered
+    assert parsed == outcome(reference_parse_annotation, tokens)
+    assert outcome(parse_correction, tokens) == outcome(reference_parse_correction, tokens)
 
 
 def test_merge_corrections_table6():
@@ -297,11 +328,11 @@ def reference_fit(spans, merge_gap):
     """The fitting rule as it stood spread over decode_spans (the gap-0
     guard) and the pipeline's widening loop, copied verbatim."""
     if merge_gap > 0:
-        spans = merge_edits(spans, merge_gap)
+        spans = reference_merge_edits(spans, merge_gap)
     gap = merge_gap
     while len(spans) > MAX_SPANS:
         gap += 1
-        spans = merge_edits(spans, gap)
+        spans = reference_merge_edits(spans, gap)
     return spans
 
 
@@ -333,3 +364,25 @@ def test_fit_spans_equals_the_widening_loop(spans, merge_gap):
 def test_fit_spans_rejects_a_negative_gap():
     with pytest.raises(ValueError, match="merge_gap must be non-negative"):
         fit_spans([EditSpan(0, 1)], -1)
+
+
+def test_fit_spans_fuses_bounds_only():
+    spans = [EditSpan(0, 1, ("x",)), EditSpan(2, 3, ("y",)), EditSpan(6, 7)]
+    assert fit_spans(spans, 1) == [EditSpan(0, 3), EditSpan(6, 7)]
+
+
+def test_fit_spans_empty():
+    assert fit_spans([], 3) == []
+    assert fit_spans([], 0) == []
+
+
+def test_fit_spans_sorts_gaps_only_beyond_max_spans(monkeypatch):
+    def no_sorting(*args, **kwargs):
+        raise AssertionError("sorted the gaps")
+
+    monkeypatch.setattr(annotation, "sorted", no_sorting, raising=False)
+    spans = [EditSpan(2 * i, 2 * i + 1) for i in range(MAX_SPANS)]
+    assert fit_spans(spans) == spans
+    assert len(fit_spans(spans, 1)) == 1
+    with pytest.raises(AssertionError, match="sorted the gaps"):
+        fit_spans(spans + [EditSpan(2 * MAX_SPANS, 2 * MAX_SPANS + 1)])

@@ -277,6 +277,8 @@ def test_train_esd_empty_corpus_exit_code(tmp_path):
         ("train-esd", '{"tokens": [1, "b"], "tags": [0, 1]}'),
         ("train-esd", '{"tokens": "ab", "tags": [0, 1]}'),
         ("train-esd", '{"tokens": ["a", "b"], "tags": [0, 7]}'),
+        ("train-esd", '{"tokens": ["a", "b"], "tags": [true, 0]}'),
+        ("train-esd", '{"tokens": ["a", "b"], "tags": [0, 1.0]}'),
         ("train-esc", '{"rendered": 5, "correction": "<s1> a </s1>"}'),
         ("train-esc", "[1]"),
     ],
@@ -286,6 +288,8 @@ def test_train_esd_empty_corpus_exit_code(tmp_path):
         "token_not_string",
         "tokens_a_string",
         "tag_not_0_or_1",
+        "tag_a_boolean",
+        "tag_a_float",
         "rendered_not_string",
         "esc_not_an_object",
     ],
@@ -465,6 +469,9 @@ _OLDER_JSONL_MODEL = (
     [
         '{"format": 1, "counts": {"a": {"": {"b": "x"}}}}',
         '{"format": 1, "counts": {"a": {"": {"b": 1.5}}}}',
+        '{"format": 1, "counts": {"b": {"a": {"x": -2, "y": 1}}}}',
+        '{"format": 1, "counts": {"b": {"a": {"x": 0}}}}',
+        '{"format": 1, "counts": {"b": {"a": {"x": 1, "y": true}}}}',
         '{"format": 1, "counts": {"a": [{"b": 1}]}}',
         '{"format": 1, "counts": {"a": {"": "b"}}}',
         '{"format": 1, "counts": ["a"]}',
@@ -476,6 +483,9 @@ _OLDER_JSONL_MODEL = (
     ids=[
         "count_not_integer",
         "count_a_float",
+        "count_negative",
+        "count_zero",
+        "count_a_boolean",
         "context_level_a_list",
         "count_level_a_string",
         "counts_not_an_object",

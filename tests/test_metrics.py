@@ -11,9 +11,9 @@ from spangec.alignment import tokenize
 from spangec.errors import LengthMismatchError
 from spangec.metrics import (
     PRF,
+    EfficiencyReport,
     correction_metrics,
     detection_metrics,
-    efficiency_report,
     f_beta,
 )
 
@@ -160,24 +160,27 @@ def test_correction_metrics_agree_with_brute_force(src, hyp, gold):
 
 
 def test_efficiency_report_all_clean():
-    report = efficiency_report([(0, 5), (0, 8)])
-    assert report.n_flagged == 0
-    assert report.span_decode_steps == 0
+    report = EfficiencyReport(n_sentences=2, n_flagged=0, span_decode_steps=0,
+                              full_decode_steps=13)
     assert report.ratio == 0.0
+    assert json.loads(report.to_json()) == {
+        "n_sentences": 2, "n_flagged": 0, "span_decode_steps": 0,
+        "full_decode_steps": 13, "ratio": 0.0,
+    }
+    assert EfficiencyReport(0, 0, 0, 0).ratio == 0.0
 
 
 def test_efficiency_report_single_sentence():
     # one 2-token span corrected with 2 tokens -> 4 span steps; 10-token output
-    report = efficiency_report([(4, 11)])
-    assert report.n_flagged == 1
-    assert report.span_decode_steps == 4
-    assert report.full_decode_steps == 11
+    report = EfficiencyReport(n_sentences=1, n_flagged=1, span_decode_steps=4,
+                              full_decode_steps=11)
     assert math.isclose(report.ratio, 4 / 11)
+    assert json.loads(report.to_json())["ratio"] == report.ratio
 
 
 def test_efficiency_report_reference_ratio_documented():
     # scale anchor from the decoding-step analysis: 7647 span steps vs 21065
-    report = efficiency_report([(7647, 21065)])
+    report = EfficiencyReport(1, 1, 7647, 21065)
     assert math.isclose(report.ratio, 0.363, abs_tol=0.0005)
 
 

@@ -10,6 +10,7 @@ from spangec.alignment import align
 from spangec.datagen import EsdInstance, make_esc_gold
 from spangec.esc import PhraseTableCorrector, train_corrector
 from spangec.esd import DecodeConfig, train_tagger
+from spangec.metrics import EfficiencyReport
 from spangec.pipeline import correct_sentence, run_pipeline, threshold_sweep
 
 
@@ -119,6 +120,11 @@ def test_block_scoring_equals_one_sentence_at_a_time(block_tokens):
         outputs, report = run_pipeline(sources, tagger, corrector, cfg)
         rows = threshold_sweep(tagger, test, (0.3, 0.5))
     assert outputs == [corrected for corrected, _ in one_at_a_time]
-    assert report.span_decode_steps == sum(steps for _, steps in one_at_a_time)
+    assert report == EfficiencyReport(
+        n_sentences=len(test),
+        n_flagged=sum(1 for _, steps in one_at_a_time if steps),
+        span_decode_steps=sum(steps for _, steps in one_at_a_time),
+        full_decode_steps=sum(len(corrected) + 1 for corrected, _ in one_at_a_time),
+    )
     assert any(steps for _, steps in one_at_a_time)
     assert rows == pipeline.threshold_sweep(tagger, test, (0.3, 0.5))
