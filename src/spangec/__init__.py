@@ -57,7 +57,7 @@ from .metrics import (
 # Imported on first use (PEP 562): the detector needs numpy, the pipeline
 # needs the detector, and code that never scores a sentence needs neither.
 _LAZY = dict.fromkeys(("DecodeConfig", "EsdTagger", "decode_spans", "train_tagger"), "esd")
-_LAZY.update(correct_sentence="pipeline", run_pipeline="pipeline", esd=None, pipeline=None)
+_LAZY.update(run_pipeline="pipeline", esd=None, pipeline=None)
 
 
 def __getattr__(name: str):
@@ -88,7 +88,6 @@ __all__ = [
     "align",
     "annotate",
     "apply_spans",
-    "correct_sentence",
     "correction_metrics",
     "corrupt",
     "count_full_decode_steps",

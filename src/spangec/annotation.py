@@ -8,8 +8,8 @@ and a corrector answers with marker-wrapped replacements only, e.g.
 
     <s1> also includes fairness . </s1>
 
-Markers <s1>..</s64> are reserved tokens; text containing them literally is
-rejected at ingestion so parsing is unambiguous.
+Markers <s1>..</s64> are reserved tokens; a source that holds one literally
+cannot be rendered, so what is written parses back unambiguously.
 """
 
 from __future__ import annotations
@@ -24,22 +24,18 @@ from .errors import DataError, MalformedMarkersError, OverlapError, ReservedToke
 MAX_SPANS = 64
 
 
-def fit_spans(spans: Sequence[EditSpan], merge_gap: int = 0) -> list[EditSpan]:
-    """The spans fused across gaps of up to merge_gap tokens (nothing fuses
-    at 0, not even adjacent spans), or across the smallest wider gap that
-    leaves at most MAX_SPANS for the markers to number. Fused spans carry
-    no replacement; project_spans gives them."""
-    if merge_gap < 0:
-        raise ValueError("merge_gap must be non-negative")
-    if len(spans) > MAX_SPANS:
-        # Fusing at gap g leaves one span per original gap wider than g.
-        gaps = sorted((b.src_start - a.src_end for a, b in zip(spans, spans[1:])), reverse=True)
-        merge_gap = max(merge_gap, gaps[MAX_SPANS - 1], 1)
-    elif merge_gap == 0:
+def fit_spans(spans: Sequence[EditSpan]) -> list[EditSpan]:
+    """The spans unchanged if the markers can number them all; otherwise
+    fused across the smallest gap, at least 1, that leaves at most
+    MAX_SPANS. Fused spans carry no replacement; project_spans gives them."""
+    if len(spans) <= MAX_SPANS:
         return list(spans)
+    # Fusing at gap g leaves one span per original gap wider than g.
+    gaps = sorted((b.src_start - a.src_end for a, b in zip(spans, spans[1:])), reverse=True)
+    gap = max(gaps[MAX_SPANS - 1], 1)
     fused: list[EditSpan] = []
     for span in spans:
-        if fused and span.src_start - fused[-1].src_end <= merge_gap:
+        if fused and span.src_start - fused[-1].src_end <= gap:
             fused[-1] = EditSpan(fused[-1].src_start, span.src_end)
         else:
             fused.append(EditSpan(span.src_start, span.src_end))
@@ -75,7 +71,9 @@ class AnnotatedSentence:
 
     @property
     def rendered(self) -> TokenSeq:
-        """The source with <sK> ... </sK> around span K, numbered from 1."""
+        """The source with <sK> ... </sK> around span K, numbered from 1; a
+        source holding a reserved marker is rejected."""
+        check_no_reserved(self.source)
         out: list[str] = []
         cursor = 0
         for k, span in enumerate(self.spans, start=1):
@@ -97,9 +95,8 @@ class CorrectionOutput:
 
 def annotate(source: Sequence[str], spans: Sequence[EditSpan]) -> AnnotatedSentence:
     """The source and its spans, which must be sorted, disjoint, in range
-    and at most MAX_SPANS; the source may not hold a reserved marker."""
+    and at most MAX_SPANS."""
     src = tuple(source)
-    check_no_reserved(src)
     validate_spans(spans, len(src))
     if len(spans) > MAX_SPANS:
         raise OverlapError(f"at most {MAX_SPANS} spans per sentence")

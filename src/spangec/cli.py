@@ -139,8 +139,6 @@ def _load_model(cls, path: str, what: str):
 def cmd_make_data(args) -> int:
     if not 0 <= args.sampled_ratio <= 1:
         args.parser.error("sampled_ratio must be in [0, 1]")
-    if args.merge_gap < 0:
-        args.parser.error("merge_gap must be non-negative")
     _check_distinct([args.input], [args.esd_out, args.esc_out])
     skipped = 0
     with contextlib.ExitStack() as stack:
@@ -162,7 +160,7 @@ def cmd_make_data(args) -> int:
             if source and rng.random() < args.sampled_ratio:
                 esc_inst = datagen.make_esc_sampled(path, rng)
             else:
-                esc_inst = datagen.make_esc_gold(path, spans, args.merge_gap)
+                esc_inst = datagen.make_esc_gold(path, spans)
             esc_record = annotation.to_json_record(esc_inst.annotated, esc_inst.correction)
             esc_out.write(esc_record + "\n")
     log.info("make-data: no corrector record for %d insertions into an empty source", skipped)
@@ -204,9 +202,8 @@ def _esd_record(line: str) -> Optional[datagen.EsdInstance]:
     tokens, tags = record["tokens"], record["tags"]
     if not (isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens)):
         raise DataError("tokens must be a list of strings")
-    # True and 1.0 equal 1, so EsdInstance's check of the values would pass them.
-    if not (isinstance(tags, list) and set(map(type, tags)) <= {int}):
-        raise DataError("tags must be a list of 0s and 1s")
+    if not isinstance(tags, list):
+        raise DataError("tags must be a list")
     return datagen.EsdInstance(tokens=tuple(tokens), tags=tuple(tags))
 
 
@@ -244,11 +241,11 @@ def cmd_train_esc(args) -> int:
 def cmd_run(args) -> int:
     from . import esd, pipeline
     with _option_checks(args):
-        decode_cfg = esd.DecodeConfig(threshold=args.threshold, merge_gap=args.merge_gap)
+        decode_cfg = esd.DecodeConfig(threshold=args.threshold)
     _check_distinct([args.input, args.esd_model, args.esc_model], [args.output, args.report])
     tagger = _load_model(esd.EsdTagger, args.esd_model, "detector")
     corrector = _load_model(esc.PhraseTableCorrector, args.esc_model, "corrector")
-    with _open_in(args.input, _sentence) as lines, _open_out(args.output) as fout:
+    with _open_in(args.input, alignment.tokenize) as lines, _open_out(args.output) as fout:
         _, report = pipeline.run_pipeline(
             (tokens for _, tokens in lines),
             tagger,
@@ -331,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--esc-out", required=True)
     p.add_argument("--sampled-ratio", type=float, default=0.5,
                    help="fraction of corrector instances using sampled spans")
-    p.add_argument("--merge-gap", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_make_data)
 
@@ -363,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--esd-model", required=True)
     p.add_argument("--esc-model", required=True)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--merge-gap", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--report", default=None, help="efficiency JSON path")
     p.set_defaults(func=cmd_run)
@@ -381,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--esd-model", required=True)
     p.add_argument("--thresholds", default=None)
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--format", choices=("json", "tsv", "text"), default="text")
+    p.add_argument("--format", choices=("json", "tsv"), default="tsv")
     p.set_defaults(func=cmd_sweep)
 
     for p in sub.choices.values():

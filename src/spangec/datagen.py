@@ -43,8 +43,9 @@ class EsdInstance:
     def __post_init__(self):
         if len(self.tokens) != len(self.tags):
             raise ValueError("tokens and tags must have equal length")
-        if not set(self.tags) <= {0, 1}:
-            raise ValueError("tags must be 0s and 1s")
+        # True and 1.0 equal 1, so a check of the values alone would pass them.
+        if not (set(map(type, self.tags)) <= {int} and set(self.tags) <= {0, 1}):
+            raise ValueError("tags must be the integers 0 and 1")
 
 
 @dataclass(frozen=True)
@@ -101,14 +102,12 @@ def make_esc_from_spans(path: AlignmentPath, spans: Sequence[EditSpan]) -> EscIn
     return EscInstance(annotated=annotated, correction=CorrectionOutput(segments))
 
 
-def make_esc_gold(
-    path: AlignmentPath, spans: Optional[Sequence[EditSpan]] = None, merge_gap: int = 0
-) -> EscInstance:
-    """Corrector instance over the gold edit spans, fitted by `fit_spans` at
-    merge_gap, with the replacements extract_edits made; spans, when given,
-    must be extract_edits(path). Fused spans take projected replacements."""
+def make_esc_gold(path: AlignmentPath, spans: Optional[Sequence[EditSpan]] = None) -> EscInstance:
+    """Corrector instance over the gold edit spans, fitted by `fit_spans`,
+    with the replacements extract_edits made; spans, when given, must be
+    extract_edits(path). Fused spans take projected replacements."""
     spans = extract_edits(path) if spans is None else spans
-    fitted = fit_spans(spans, merge_gap)
+    fitted = fit_spans(spans)
     if len(fitted) < len(spans):
         return make_esc_from_spans(path, fitted)
     segments = tuple(enumerate((span.replacement for span in spans), start=1))

@@ -391,21 +391,18 @@ def train_tagger(
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    """Probability cutoff and run-merging gap for span decoding."""
+    """Probability cutoff for span decoding."""
 
     threshold: float = 0.5
-    merge_gap: int = 0
 
     def __post_init__(self):
         if not (0 <= self.threshold <= 1):
             raise ValueError("threshold must be in [0, 1]")
-        if self.merge_gap < 0:
-            raise ValueError("merge_gap must be non-negative")
 
 
 def decode_spans(probs: Sequence[float], cfg: DecodeConfig) -> list[EditSpan]:
     """Maximal runs of tokens with prob >= threshold become spans, fitted by
-    `fit_spans` at merge_gap. No spans means error-free."""
+    `fit_spans`. No spans means error-free."""
     spans: list[EditSpan] = []
     start = None
     for i, p in enumerate(probs):
@@ -417,4 +414,4 @@ def decode_spans(probs: Sequence[float], cfg: DecodeConfig) -> list[EditSpan]:
             start = None
     if start is not None:
         spans.append(EditSpan(start, len(probs)))
-    return fit_spans(spans, cfg.merge_gap)
+    return fit_spans(spans)

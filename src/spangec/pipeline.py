@@ -1,5 +1,5 @@
 """The two-stage pipeline: detect erroneous spans, correct only those spans
-and merge the corrections back, for one sentence or a whole corpus."""
+and merge the corrections back, over a corpus of sentences."""
 
 from __future__ import annotations
 
@@ -42,27 +42,16 @@ def _correct_scored(
     corrector: esc.PhraseTableCorrector,
     decode_cfg: esd.DecodeConfig,
 ) -> tuple[TokenSeq, int]:
-    """`correct_sentence` given the detector's probabilities."""
+    """Correct one sentence given the detector's probabilities: (corrected
+    tokens, span decoding steps). An error-free sentence passes through
+    untouched at zero steps. More detected spans than the markers can number
+    are fused by `fit_spans` until they fit."""
     spans = esd.decode_spans(probs, decode_cfg)
     if not spans:
         return tokens, 0
     annotated = annotate(tokens, spans)
     result = corrector.correct(annotated)
     return merge_corrections(annotated, result.output), result.decode_steps
-
-
-def correct_sentence(
-    tokens: TokenSeq,
-    tagger: esd.EsdTagger,
-    corrector: esc.PhraseTableCorrector,
-    decode_cfg: esd.DecodeConfig,
-) -> tuple[TokenSeq, int]:
-    """Detect, correct and merge one sentence: (corrected tokens, span
-    decoding steps). An error-free sentence passes through untouched at zero
-    steps. A sentence with more detected spans than the markers can number
-    has them fused by `fit_spans` until they fit. For many sentences
-    `run_pipeline` is faster: it scores them in blocks."""
-    return _correct_scored(tokens, tagger.predict_probs(tokens), corrector, decode_cfg)
 
 
 def run_pipeline(

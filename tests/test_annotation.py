@@ -71,7 +71,7 @@ def test_annotate_rejects_overlap():
 
 def test_annotate_rejects_reserved_tokens():
     with pytest.raises(ReservedTokenError):
-        annotate(tokenize("hello <s1> there"), [])
+        annotate(tokenize("hello <s1> there"), []).rendered
 
 
 # Reference marker rule: the two-regex code that a single pattern, and then
@@ -324,12 +324,10 @@ def test_render_correction_round_trip():
     assert parse_correction(render_correction(corr)) == corr
 
 
-def reference_fit(spans, merge_gap):
+def reference_fit(spans):
     """The fitting rule as it stood spread over decode_spans (the gap-0
-    guard) and the pipeline's widening loop, copied verbatim."""
-    if merge_gap > 0:
-        spans = reference_merge_edits(spans, merge_gap)
-    gap = merge_gap
+    guard) and the pipeline's widening loop, copied verbatim at gap 0."""
+    gap = 0
     while len(spans) > MAX_SPANS:
         gap += 1
         spans = reference_merge_edits(spans, gap)
@@ -349,31 +347,28 @@ def sorted_disjoint_spans(draw):
     return spans
 
 
-@given(sorted_disjoint_spans(), st.integers(0, 3))
+@given(sorted_disjoint_spans())
 @settings(max_examples=200, deadline=None)
-def test_fit_spans_equals_the_widening_loop(spans, merge_gap):
-    fitted = fit_spans(spans, merge_gap)
-    assert fitted == reference_fit(spans, merge_gap)
+def test_fit_spans_equals_the_widening_loop(spans):
+    fitted = fit_spans(spans)
+    assert fitted == reference_fit(spans)
     assert len(fitted) <= MAX_SPANS
     covered = {i for span in fitted for i in range(span.src_start, span.src_end)}
     assert all(i in covered for span in spans for i in range(span.src_start, span.src_end))
-    if merge_gap == 0 and len(spans) <= MAX_SPANS:
+    if len(spans) <= MAX_SPANS:
         assert fitted == spans  # nothing fuses, replacements and all
 
 
-def test_fit_spans_rejects_a_negative_gap():
-    with pytest.raises(ValueError, match="merge_gap must be non-negative"):
-        fit_spans([EditSpan(0, 1)], -1)
-
-
 def test_fit_spans_fuses_bounds_only():
-    spans = [EditSpan(0, 1, ("x",)), EditSpan(2, 3, ("y",)), EditSpan(6, 7)]
-    assert fit_spans(spans, 1) == [EditSpan(0, 3), EditSpan(6, 7)]
+    # 65 spans: the first two one token apart, the rest two apart, so the
+    # marker cap fuses the first two alone.
+    spans = [EditSpan(0, 1, ("x",)), EditSpan(2, 3, ("y",))]
+    spans += [EditSpan(3 * i + 2, 3 * i + 3) for i in range(1, MAX_SPANS)]
+    assert fit_spans(spans) == [EditSpan(0, 3)] + spans[2:]
 
 
 def test_fit_spans_empty():
-    assert fit_spans([], 3) == []
-    assert fit_spans([], 0) == []
+    assert fit_spans([]) == []
 
 
 def test_fit_spans_sorts_gaps_only_beyond_max_spans(monkeypatch):
@@ -383,6 +378,5 @@ def test_fit_spans_sorts_gaps_only_beyond_max_spans(monkeypatch):
     monkeypatch.setattr(annotation, "sorted", no_sorting, raising=False)
     spans = [EditSpan(2 * i, 2 * i + 1) for i in range(MAX_SPANS)]
     assert fit_spans(spans) == spans
-    assert len(fit_spans(spans, 1)) == 1
     with pytest.raises(AssertionError, match="sorted the gaps"):
         fit_spans(spans + [EditSpan(2 * MAX_SPANS, 2 * MAX_SPANS + 1)])

@@ -32,7 +32,9 @@ from spangec.esd import N_BUCKETS, DecodeConfig, decode_spans, train_tagger
 
 
 def write_lines(path, lines):
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One line each; a surrogate escape such as "\\udcff" writes that
+    invalid UTF-8 byte."""
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +133,7 @@ def test_extract_table6_pair(tmp_path):
         ],
     )
     argv = gold_records(tmp_path / "pairs.tsv", "--esc-out", str(tmp_path / "o.jsonl"))
-    assert main(argv + ["--merge-gap", "1"]) == 0
+    assert main(argv) == 0
     record = json.loads((tmp_path / "o.jsonl").read_text())
     assert "<s1>" in record["rendered"]
     assert record["correction"].startswith("<s1>")
@@ -347,7 +349,6 @@ def test_invalid_utf8_on_stdin_names_line(tmp_path, capsys, monkeypatch):
     "command, option, value",
     [
         ("run", "--threshold", "1.5"),
-        ("run", "--merge-gap", "-1"),
         ("sweep", "--thresholds", "abc"),
         ("sweep", "--thresholds", "5"),
         ("make-data", "--sampled-ratio", "7"),
@@ -355,7 +356,6 @@ def test_invalid_utf8_on_stdin_names_line(tmp_path, capsys, monkeypatch):
         ("train-esd", "--epochs", "-1"),
         ("train-esd", "--epochs", str(2**32)),
         ("train-esd", "--seed", str(2**63)),
-        ("make-data", "--merge-gap", "-1"),
     ],
 )
 def test_bad_option_value_is_usage_error(small_models, tmp_path, capsys, command, option, value):
@@ -618,7 +618,7 @@ def test_run_on_bad_detector_header_exits_3(small_models, at, value):
 
 def test_run_writes_lines_before_a_data_error(corpus, tmp_path):
     lines = (corpus / "clean.txt").read_text().splitlines()[:2]
-    write_lines(tmp_path / "in.txt", lines + ["a <s1> b"])
+    write_lines(tmp_path / "in.txt", lines + ["a \udcff b"])
     assert main(
         [
             "run",
@@ -639,7 +639,7 @@ def test_run_writes_the_blocks_before_a_data_error(corpus, tmp_path):
     in the third block: the fifth line, read with it, is written too."""
     lines = [" ".join(line.split()[:3]) for line in (corpus / "clean.txt").read_text().splitlines()]
     assert all(len(line.split()) == 3 for line in lines[:5])
-    write_lines(tmp_path / "in.txt", lines[:5] + ["a <s1> b"])
+    write_lines(tmp_path / "in.txt", lines[:5] + ["a \udcff b"])
     argv = ["run", str(tmp_path / "in.txt"), "--esd-model", str(corpus / "esd.model"),
             "--esc-model", str(corpus / "esc.model"), "-o", str(tmp_path / "out.txt")]
     with mock.patch.object(pipeline, "_BLOCK_TOKENS", 8):
@@ -653,6 +653,18 @@ def test_run_writes_the_blocks_before_a_data_error(corpus, tmp_path):
     assert (tmp_path / "out.txt").read_text().splitlines() == expected
 
 
+def test_run_corrects_a_line_that_holds_a_marker_token(small_models, tmp_path):
+    """`run` writes no markers, so a literal <s1> is an ordinary token."""
+    write_lines(tmp_path / "in.txt", ["a <s1> b", "x y", "a b"])
+    argv = ["run", str(tmp_path / "in.txt"), "--esd-model", str(small_models / "esd"),
+            "--esc-model", str(small_models / "esc"), "-o", str(tmp_path / "out.txt")]
+    assert main(argv) == 0
+    lines = (tmp_path / "out.txt").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 3
+    assert lines[0].split()[:2] == ["a", "<s1>"]
+    assert lines[1:] == ["x y", "a c"]
+
+
 def test_commands_that_never_score_do_not_import_numpy(corpus, tmp_path):
     script = """
 import sys
@@ -664,7 +676,7 @@ commands = [
     ["make-data", f"{root}/pairs.tsv", "--esd-out", f"{out}/esd.jsonl",
      "--esc-out", f"{out}/esc.jsonl"],
     ["make-data", f"{root}/pairs.tsv", "--esd-out", f"{out}/esd.jsonl",
-     "--esc-out", f"{out}/esc.jsonl", "--sampled-ratio", "0", "--merge-gap", "2"],
+     "--esc-out", f"{out}/esc.jsonl", "--sampled-ratio", "0"],
     ["eval", "--source", f"{root}/clean.txt", "--hypothesis", f"{root}/clean.txt",
      "--gold", f"{root}/clean.txt", "-o", f"{out}/eval.json"],
     ["corrupt", f"{root}/clean.txt", "--p-swap", "0.1", "-o", f"{out}/pairs.tsv"],
@@ -871,13 +883,13 @@ def test_more_gold_spans_than_markers_fuse_as_run_fuses_them(tmp_path, command):
     assert merge_corrections(annotated, correction) == target
 
 
-def extract_reference(source, target, merge_gap):
+def extract_reference(source, target):
     """The corrector record that the removed `extract` command wrote for a
     pair, or None for a pair it skipped; its record builder, verbatim."""
     if not source and target:  # no token to anchor the insertion to
         return None
     path = align(source, target)
-    spans = fit_spans(extract_edits(path), merge_gap)
+    spans = fit_spans(extract_edits(path))
     instance = make_esc_from_spans(path, spans)
     return to_json_record(instance.annotated, instance.correction)
 
@@ -914,18 +926,14 @@ def test_make_data_writes_the_records_extract_wrote(pairs):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         write_lines(root / "pairs.tsv", [detokenize(s) + "\t" + detokenize(t) for s, t in pairs])
-        esd_files = set()
-        for gap in range(4):
-            esc, esd = root / f"{gap}.esc", root / f"{gap}.esd"
-            argv = ["make-data", str(root / "pairs.tsv"), "--esd-out", str(esd),
-                    "--esc-out", str(esc), "--sampled-ratio", "0", "--merge-gap", str(gap)]
-            assert main(argv) == 0
-            expected = [extract_reference(s, t, gap) for s, t in pairs]
-            assert esc.read_text(encoding="utf-8").splitlines() == [
-                record for record in expected if record is not None
-            ]
-            esd_files.add(esd.read_bytes())
-        assert len(esd_files) == 1
+        esc = root / "gold.esc"
+        argv = ["make-data", str(root / "pairs.tsv"), "--esd-out", os.devnull,
+                "--esc-out", str(esc), "--sampled-ratio", "0"]
+        assert main(argv) == 0
+        expected = [extract_reference(s, t) for s, t in pairs]
+        assert esc.read_text(encoding="utf-8").splitlines() == [
+            record for record in expected if record is not None
+        ]
 
 
 @pytest.mark.parametrize("level", ["verbose", "10", ""])
@@ -984,7 +992,7 @@ _GOOD_LINES = {
     [
         pytest.param("make-data", "only one field", id="make-data-fields"),
         pytest.param("make-data", "a b\ta <s1> c", id="make-data-marker"),
-        pytest.param("run", "a <s1> b", id="run"),
+        pytest.param("run", "a \udcff b", id="run"),
         pytest.param("sweep", "a\tb\tc", id="sweep"),
         pytest.param("train-esd", '{"tokens": 5, "tags": [0]}', id="train-esd"),
         pytest.param("train-esc", "[1]", id="train-esc"),
@@ -1020,6 +1028,18 @@ def test_eval_counts_an_insertion_into_an_empty_source(tmp_path):
     assert main(argv) == 0
     scores = json.loads((tmp_path / "m.json").read_text())
     assert (scores["tp"], scores["fp"], scores["fn"]) == (1, 0, 1)
+
+
+def test_sweep_writes_tsv_by_default(small_models, tmp_path):
+    write_lines(tmp_path / "pairs.tsv", ["a b\ta c"])
+    argv = ["sweep", str(tmp_path / "pairs.tsv"), "--esd-model", str(small_models / "esd")]
+    assert main(argv + ["-o", str(tmp_path / "default")]) == 0
+    assert main(argv + ["--format", "tsv", "-o", str(tmp_path / "tsv")]) == 0
+    rows = (tmp_path / "default").read_text().splitlines()
+    assert (tmp_path / "tsv").read_text().splitlines() == rows
+    assert rows[0] == "threshold\tP\tR\tF0.5"
+    thresholds = [row.split("\t")[0] for row in rows[1:]]
+    assert thresholds == [f"{t:g}" for t in pipeline.SWEEP_THRESHOLDS]
 
 
 def test_sweep_on_an_empty_source(small_models, tmp_path):

@@ -255,7 +255,15 @@ def test_corrupt_pairs_align_and_reconstruct(sent, seed):
     assert apply_spans(noisy, spans) == sent
 
 
-@pytest.mark.parametrize("tokens, tags", [(("a",), (2,)), (("a", "b"), (0, -1)), (("a",), (0, 1))])
+@pytest.mark.parametrize(
+    "tokens, tags",
+    [
+        (("a",), (2,)),
+        (("a", "b"), (0, -1)),
+        (("a",), (0, 1)),
+        pytest.param(("a", "b"), (True, 1.0), id="equal_to_0_or_1_but_not_int"),
+    ],
+)
 def test_esd_instance_rejects_bad_tags(tokens, tags):
     with pytest.raises(ValueError):
         EsdInstance(tokens, tags)

@@ -139,17 +139,6 @@ def test_decode_threshold_one_empty():
     assert decode_spans([0.9, 0.99], DecodeConfig(threshold=1.0)) == []
 
 
-def test_decode_merge_gap():
-    probs = [0.9, 0.1, 0.9, 0.1, 0.1, 0.9]
-    assert decode_spans(probs, DecodeConfig(threshold=0.5, merge_gap=1)) == [
-        EditSpan(0, 3),
-        EditSpan(5, 6),
-    ]
-    assert decode_spans(probs, DecodeConfig(threshold=0.5, merge_gap=2)) == [
-        EditSpan(0, 6)
-    ]
-
-
 def test_threshold_monotonicity_nested_positive_sets():
     model = train_tagger(make_instances(), epochs=3, seed=3)
     probe = ("teh", "the", "cat", "teh", "zzz", "now")
@@ -166,7 +155,7 @@ def test_decode_spans_always_valid():
     rng = random.Random(0)
     for _ in range(100):
         probs = [rng.random() for _ in range(rng.randint(0, 20))]
-        cfg = DecodeConfig(threshold=rng.random(), merge_gap=rng.randint(0, 3))
+        cfg = DecodeConfig(threshold=rng.random())
         spans = decode_spans(probs, cfg)
         prev_end = -1
         for span in spans:

@@ -11,7 +11,7 @@ from spangec.datagen import EsdInstance, make_esc_gold
 from spangec.esc import PhraseTableCorrector, train_corrector
 from spangec.esd import DecodeConfig, train_tagger
 from spangec.metrics import EfficiencyReport
-from spangec.pipeline import correct_sentence, run_pipeline, threshold_sweep
+from spangec.pipeline import run_pipeline, threshold_sweep
 
 
 class AlternatingTagger:
@@ -34,11 +34,11 @@ class AlternatingTagger:
 def test_more_spans_than_markers_are_fused(n_tokens, span_steps):
     tokens = tuple(f"t{i}" for i in range(n_tokens))
     # An empty phrase table copies every span unchanged.
-    corrected, steps = correct_sentence(
-        tokens, AlternatingTagger(), PhraseTableCorrector(), DecodeConfig()
+    (corrected,), report = run_pipeline(
+        [tokens], AlternatingTagger(), PhraseTableCorrector(), DecodeConfig()
     )
     assert corrected == tokens
-    assert steps == span_steps
+    assert report.span_decode_steps == span_steps
 
 
 def test_streamed_outputs_equal_collected_outputs():
@@ -68,13 +68,12 @@ class FixedTagger:
 @given(
     st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=300),
     st.floats(min_value=0.0, max_value=1.0),
-    st.integers(min_value=0, max_value=3),
 )
 @settings(max_examples=200, deadline=None)
-def test_any_probabilities_pass_through_an_empty_phrase_table(probs, threshold, gap):
+def test_any_probabilities_pass_through_an_empty_phrase_table(probs, threshold):
     tokens = tuple(f"t{i}" for i in range(len(probs)))
-    corrected, _ = correct_sentence(
-        tokens, FixedTagger(probs), PhraseTableCorrector(), DecodeConfig(threshold, gap)
+    (corrected,), _ = run_pipeline(
+        [tokens], FixedTagger(probs), PhraseTableCorrector(), DecodeConfig(threshold)
     )
     assert corrected == tokens
 
@@ -115,7 +114,10 @@ def test_block_scoring_equals_one_sentence_at_a_time(block_tokens):
     corrector = train_corrector([make_esc_gold(align(s, t)) for s, t in train if s])
     cfg = DecodeConfig(threshold=0.3)
     sources = [s for s, _ in test]
-    one_at_a_time = [correct_sentence(s, tagger, corrector, cfg) for s, _ in test]
+    one_at_a_time = []
+    for s, _ in test:
+        (corrected,), one = run_pipeline([s], tagger, corrector, cfg)
+        one_at_a_time.append((corrected, one.span_decode_steps))
     with mock.patch.object(pipeline, "_BLOCK_TOKENS", block_tokens):
         outputs, report = run_pipeline(sources, tagger, corrector, cfg)
         rows = threshold_sweep(tagger, test, (0.3, 0.5))
